@@ -66,6 +66,7 @@ from .powergrid import (
     load_case,
     measure,
     residual_norm,
+    resolve_case,
     solve_dc_state,
     wls_estimate,
     wls_estimate_iterative,
@@ -87,7 +88,7 @@ __all__ = [
     "make_fitness_context", "run_search",
     "BusSystem", "DcJacobian", "NoiseModel", "bad_data_test",
     "build_jacobian", "builtin_case_path", "load_builtin", "load_case",
-    "measure", "residual_norm", "solve_dc_state", "wls_estimate",
+    "measure", "residual_norm", "resolve_case", "solve_dc_state", "wls_estimate",
     "wls_estimate_iterative",
     "__version__",
 ]

@@ -17,10 +17,10 @@ from .powergrid import (
     BusSystem,
     DcJacobian,
     NoiseModel,
-    _weights,
     build_jacobian,
     measure,
     solve_dc_state,
+    wls_estimate,
 )
 
 
@@ -97,6 +97,8 @@ class Dataset:
             raise ValueError("X must be 2-D with one label per row")
         if not np.all(np.isfinite(self.X)):
             raise ValueError("non-finite features")
+        if not np.isin(self.y, (0, 1)).all():
+            raise ValueError("labels must be 0 (clean) or 1 (attacked)")
 
     @property
     def n_samples(self) -> int:
@@ -192,11 +194,7 @@ def stealthiness_report(ds: Dataset, H: DcJacobian, variance, threshold: float):
 def batch_residuals(Z: np.ndarray, H: DcJacobian, variance) -> np.ndarray:
     """Squared residual norm of the WLS fit for every row of Z."""
     Z = np.asarray(Z, dtype=float)
-    m = H.n_measurements
-    wi = _weights(variance, m)
-    Hw = H.matrix * wi[:, None]
-    G = H.matrix.T @ Hw
-    Xhat = np.linalg.solve(G, Hw.T @ Z.T).T
+    Xhat = wls_estimate(H, variance, Z.T).T
     R = Z - Xhat @ H.matrix.T
     return np.einsum("ij,ij->i", R, R)
 
@@ -231,8 +229,13 @@ def load_dataset(path) -> Dataset:
             parts = line.strip().split(",")
             if len(parts) != m + 1:
                 raise ValueError(f"{path} line {lineno}: expected {m + 1} fields")
-            rows.append([float(v) for v in parts[:m]])
-            labels.append(int(parts[m]))
+            try:
+                rows.append([float(v) for v in parts[:m]])
+                labels.append(int(parts[m]))
+                if labels[-1] not in (0, 1):
+                    raise ValueError(f"label must be 0 or 1, got {labels[-1]}")
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
     meta = {}
     side = path.with_suffix(path.suffix + ".meta")
     if side.exists():

@@ -10,9 +10,9 @@ affect results.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -181,13 +181,6 @@ class ExperimentResult:
     seed: int
 
 
-def _resolve_system(name: str) -> BusSystem:
-    path = Path(name)
-    if path.suffix == ".csv" and path.exists():
-        return powergrid.load_case(path)
-    return powergrid.load_builtin(name)
-
-
 def _experiment_datasets(spec: ExperimentSpec, sys: BusSystem):
     noise = NoiseModel(spec.noise_sigma)
     max_targets = spec.max_targets or math.ceil(sys.n_states / 3)
@@ -201,7 +194,7 @@ def _experiment_datasets(spec: ExperimentSpec, sys: BusSystem):
 
 def _fs_job(spec: ExperimentSpec, system: str):
     """One (system, fs ...) unit: select features once, then score every classifier."""
-    sys = _resolve_system(system)
+    sys = powergrid.resolve_case(system)
     train, test = _experiment_datasets(spec, sys)
     out_rows = {}
     fs_runs = {}
@@ -239,22 +232,14 @@ def run_matrix(spec: ExperimentSpec, fs_log: dict | None = None) -> list:
 
     Feature selection runs once per (system, FS method) and its mask is shared
     by all classifiers, mirroring a select-then-retrain protocol. Jobs are
-    independent per system; `threads` (or FDI_LAB_THREADS) bounds the pool.
+    independent per system; `threads` bounds the pool.
     fs_log, when given, collects {(system, fs): (FsResult, seconds)}.
     """
-    threads = int(os.environ.get("FDI_LAB_THREADS", spec.threads))
+    parallel = spec.threads > 1 and len(spec.systems) > 1
     rows = {}
-    if threads > 1 and len(spec.systems) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(_fs_job, spec, s): s for s in spec.systems}
-            for fut in futures:
-                out_rows, fs_runs = fut.result()
-                rows.update(out_rows)
-                if fs_log is not None:
-                    fs_log.update(fs_runs)
-    else:
-        for system in spec.systems:
-            out_rows, fs_runs = _fs_job(spec, system)
+    with ThreadPoolExecutor(max_workers=spec.threads if parallel else 1) as pool:
+        jobs = (pool.map if parallel else map)(functools.partial(_fs_job, spec), spec.systems)
+        for out_rows, fs_runs in jobs:
             rows.update(out_rows)
             if fs_log is not None:
                 fs_log.update(fs_runs)

@@ -255,15 +255,6 @@ def svm_decision(model: TrainedModel, X) -> np.ndarray:
     return (p["sv_alpha"] * p["sv_y"]) @ K + p["b"]
 
 
-def svm_train(X, y, cfg: SvmConfig, mask=None, standardize=True) -> TrainedModel:
-    return train_model(X, y, "svm", cfg, mask=mask, standardize=standardize)
-
-
-def svm_predict(model: TrainedModel, X) -> np.ndarray:
-    """Class 1 iff the decision value is strictly positive (0 on ties)."""
-    return (svm_decision(model, X) > 0).astype(np.int64)
-
-
 def svm_dual_objective(model: TrainedModel) -> float:
     """Dual objective sum(alpha) - 1/2 sum_ij alpha_i alpha_j y_i y_j K_ij."""
     p = model.params
@@ -313,10 +304,6 @@ def knn_predict(train_X, train_y, cfg: KnnConfig, X) -> np.ndarray:
     single = np.asarray(X).ndim == 1
     pred = _knn_vote(train_X, train_y, cfg.k, X)
     return pred[0] if single else pred
-
-
-def knn_train(X, y, cfg: KnnConfig, mask=None, standardize=True) -> TrainedModel:
-    return train_model(X, y, "knn", cfg, mask=mask, standardize=standardize)
 
 
 # ----------------------------------------------------------------------- ANN
@@ -424,10 +411,6 @@ def _ann_fit(X: np.ndarray, y: np.ndarray, cfg: AnnConfig):
     return params, True
 
 
-def ann_train(X, y, cfg: AnnConfig, mask=None, standardize=True) -> TrainedModel:
-    return train_model(X, y, "ann", cfg, mask=mask, standardize=standardize)
-
-
 # ------------------------------------------------------------ common surface
 
 def accuracy(predictions, truth) -> float:
@@ -439,17 +422,13 @@ def accuracy(predictions, truth) -> float:
     return float((predictions == truth).mean())
 
 
-def _full_mask(m: int) -> np.ndarray:
-    return np.ones(m, dtype=bool)
-
-
 def train_model(X, y, kind: str, cfg, mask=None, standardize: bool = True) -> TrainedModel:
     """Mask features, fit the scaler on the training rows, train a classifier."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise ValueError("X must be 2-D with one label per row")
-    mask = _full_mask(X.shape[1]) if mask is None else np.asarray(mask, dtype=bool)
+    mask = np.ones(X.shape[1], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if mask.shape != (X.shape[1],) or not mask.any():
         raise ValueError("mask must select at least one feature")
     Xm = X[:, mask]

@@ -5,9 +5,10 @@ Subcommands: generate (datasets), gridsearch (hyperparameters), select
 (pretty-print a results CSV).
 
 Configuration comes from defaults, then an optional flat `key = value` file
-(--config), then flags; later layers win. Every run writes the resolved
-configuration to a manifest so it can be reproduced. Exit codes: 0 success,
-1 usage or configuration error, 2 runtime failure.
+(--config), then the FDI_LAB_THREADS environment variable, then flags; later
+layers win. Every run writes the resolved configuration to a manifest so it
+can be reproduced. Exit codes: 0 success, 1 usage or configuration error,
+2 runtime failure.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import sys as _sys
 from pathlib import Path
 
-from . import attack, bench, featsel, powergrid
-from .classify import AnnConfig, KnnConfig, SvmConfig
+from . import __version__, attack, bench, featsel, powergrid
+from .classify import KnnConfig
 from .powergrid import NoiseModel
-from .featsel import BcsParams, BpsoParams, GaParams
 
 
 class ConfigError(Exception):
@@ -53,56 +54,37 @@ def _parse_list(text: str) -> tuple:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-# every known config key: name -> (caster, default)
+def _caster(default):
+    if isinstance(default, tuple):
+        return _parse_list
+    if isinstance(default, bool):  # before int: bool is an int
+        return _parse_bool
+    return type(default)
+
+
+# A top-level ExperimentSpec field's key is its name and a nested config's
+# field's key is <section>_<field>; these five keys keep their older names.
+_ALIASES = {"fs_methods": "fs", "classifiers": "classifier", "svm_C": "svm_c",
+            "bcs_lam": "bcs_lambda", "bpso_v_max": "bpso_vmax"}
 _DEFAULT_SPEC = bench.ExperimentSpec()
-CONFIG_KEYS = {
-    "systems": (_parse_list, _DEFAULT_SPEC.systems),
-    "fs": (_parse_list, _DEFAULT_SPEC.fs_methods),
-    "classifier": (_parse_list, _DEFAULT_SPEC.classifiers),
-    "n_train": (int, _DEFAULT_SPEC.n_train),
-    "n_test": (int, _DEFAULT_SPEC.n_test),
-    "seed": (int, _DEFAULT_SPEC.seed),
-    "noise_sigma": (float, _DEFAULT_SPEC.noise_sigma),
-    "load_var": (float, _DEFAULT_SPEC.load_var),
-    "attack_ratio": (float, _DEFAULT_SPEC.attack_ratio),
-    "max_targets": (int, _DEFAULT_SPEC.max_targets),
-    "magnitude_low": (float, _DEFAULT_SPEC.magnitude_low),
-    "magnitude_high": (float, _DEFAULT_SPEC.magnitude_high),
-    "standardize": (_parse_bool, _DEFAULT_SPEC.standardize),
-    "svm_c": (float, _DEFAULT_SPEC.svm.C),
-    "svm_gamma": (float, _DEFAULT_SPEC.svm.gamma),
-    "svm_tol": (float, _DEFAULT_SPEC.svm.tol),
-    "svm_max_passes": (int, _DEFAULT_SPEC.svm.max_passes),
-    "svm_max_sweeps": (int, _DEFAULT_SPEC.svm.max_sweeps),
-    "knn_k": (int, _DEFAULT_SPEC.knn.k),
-    "ann_alpha": (float, _DEFAULT_SPEC.ann.alpha),
-    "ann_epochs": (int, _DEFAULT_SPEC.ann.epochs),
-    "ann_batch": (int, _DEFAULT_SPEC.ann.batch),
-    "ann_seed": (int, _DEFAULT_SPEC.ann.seed),
-    "bcs_alpha": (float, _DEFAULT_SPEC.bcs.alpha),
-    "bcs_pa": (float, _DEFAULT_SPEC.bcs.pa),
-    "bcs_lambda": (float, _DEFAULT_SPEC.bcs.lam),
-    "bcs_population": (int, _DEFAULT_SPEC.bcs.population),
-    "bcs_iterations": (int, _DEFAULT_SPEC.bcs.iterations),
-    "bpso_c1": (float, _DEFAULT_SPEC.bpso.c1),
-    "bpso_c2": (float, _DEFAULT_SPEC.bpso.c2),
-    "bpso_w": (float, _DEFAULT_SPEC.bpso.w),
-    "bpso_vmax": (float, _DEFAULT_SPEC.bpso.v_max),
-    "bpso_population": (int, _DEFAULT_SPEC.bpso.population),
-    "bpso_iterations": (int, _DEFAULT_SPEC.bpso.iterations),
-    "ga_mutation_rate": (float, _DEFAULT_SPEC.ga.mutation_rate),
-    "ga_population": (int, _DEFAULT_SPEC.ga.population),
-    "ga_iterations": (int, _DEFAULT_SPEC.ga.iterations),
-    "ga_tournament": (int, _DEFAULT_SPEC.ga.tournament),
-    "ga_elite": (int, _DEFAULT_SPEC.ga.elite),
-    "wrapper_k": (int, _DEFAULT_SPEC.wrapper_k),
-    "val_fraction": (float, _DEFAULT_SPEC.val_fraction),
-    "threads": (int, _DEFAULT_SPEC.threads),
-    "holdout": (float, 0.2),
-    "case": (str, ""),
-    "n": (int, 1000),
-    "out_dir": (str, "runs"),
-}
+
+
+def _spec_keys():
+    """(config key, section or None, field, default) for every ExperimentSpec field."""
+    for f in dataclasses.fields(_DEFAULT_SPEC):
+        value = getattr(_DEFAULT_SPEC, f.name)
+        if not dataclasses.is_dataclass(value):
+            yield _ALIASES.get(f.name, f.name), None, f.name, value
+            continue
+        for sub in dataclasses.fields(value):
+            key = f"{f.name}_{sub.name}"
+            yield _ALIASES.get(key, key), f.name, sub.name, getattr(value, sub.name)
+
+
+# every known config key: name -> (caster, default); the last four are CLI-only
+CONFIG_KEYS = {key: (_caster(default), default) for key, _, _, default in _spec_keys()}
+CONFIG_KEYS.update({"holdout": (float, 0.2), "case": (str, ""), "n": (int, 1000),
+                    "out_dir": (str, "runs")})
 
 
 def _read_config_file(path: Path) -> dict:
@@ -128,10 +110,15 @@ def _read_config_file(path: Path) -> dict:
 
 
 def _resolve(args) -> dict:
-    """defaults <- config file <- explicit flags."""
+    """defaults <- config file <- FDI_LAB_THREADS <- explicit flags."""
     cfg = {key: default for key, (_, default) in CONFIG_KEYS.items()}
     if getattr(args, "config", None):
         cfg.update(_read_config_file(Path(args.config)))
+    env_threads = os.environ.get("FDI_LAB_THREADS")
+    if env_threads is not None:
+        if not env_threads.strip().isdecimal() or int(env_threads) < 1:
+            raise ConfigError(f"FDI_LAB_THREADS must be a positive integer, got {env_threads!r}")
+        cfg["threads"] = int(env_threads)
     for key in CONFIG_KEYS:
         val = getattr(args, key, None)
         if val is not None:
@@ -141,36 +128,18 @@ def _resolve(args) -> dict:
 
 
 def _experiment_spec(cfg: dict) -> bench.ExperimentSpec:
+    fields, sections = {}, {}
+    for key, section, name, _default in _spec_keys():
+        if section is None:
+            fields[name] = cfg[key]
+        else:
+            sections.setdefault(section, {})[name] = cfg[key]
     try:
-        return bench.ExperimentSpec(
-            systems=tuple(cfg["systems"]),
-            fs_methods=tuple(cfg["fs"]),
-            classifiers=tuple(cfg["classifier"]),
-            n_train=cfg["n_train"], n_test=cfg["n_test"], seed=cfg["seed"],
-            noise_sigma=cfg["noise_sigma"], load_var=cfg["load_var"],
-            attack_ratio=cfg["attack_ratio"], max_targets=cfg["max_targets"],
-            magnitude_low=cfg["magnitude_low"], magnitude_high=cfg["magnitude_high"],
-            standardize=cfg["standardize"],
-            svm=SvmConfig(C=cfg["svm_c"], gamma=cfg["svm_gamma"], tol=cfg["svm_tol"],
-                          max_passes=cfg["svm_max_passes"], max_sweeps=cfg["svm_max_sweeps"]),
-            knn=KnnConfig(k=cfg["knn_k"]),
-            ann=AnnConfig(alpha=cfg["ann_alpha"], epochs=cfg["ann_epochs"],
-                          batch=cfg["ann_batch"], seed=cfg["ann_seed"]),
-            bcs=BcsParams(alpha=cfg["bcs_alpha"], pa=cfg["bcs_pa"], lam=cfg["bcs_lambda"],
-                          population=cfg["bcs_population"], iterations=cfg["bcs_iterations"]),
-            bpso=BpsoParams(c1=cfg["bpso_c1"], c2=cfg["bpso_c2"], w=cfg["bpso_w"],
-                            v_max=cfg["bpso_vmax"], population=cfg["bpso_population"],
-                            iterations=cfg["bpso_iterations"]),
-            ga=GaParams(mutation_rate=cfg["ga_mutation_rate"], population=cfg["ga_population"],
-                        iterations=cfg["ga_iterations"], tournament=cfg["ga_tournament"],
-                        elite=cfg["ga_elite"]),
-            wrapper_k=cfg["wrapper_k"], val_fraction=cfg["val_fraction"],
-            threads=cfg["threads"],
-        )
+        for section, kwargs in sections.items():
+            fields[section] = type(getattr(_DEFAULT_SPEC, section))(**kwargs)
+        return bench.ExperimentSpec(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    except KeyError as exc:
-        raise ConfigError(f"missing config key {exc}") from None
 
 
 def _validate_choices(cfg: dict) -> None:
@@ -182,18 +151,10 @@ def _validate_choices(cfg: dict) -> None:
             raise ConfigError(f"unknown classifier {kind!r} (use svm, knn, ann)")
 
 
-def _resolve_case(cfg: dict) -> powergrid.BusSystem:
-    name = cfg["case"]
-    if not name:
-        raise ConfigError("--case is required")
-    path = Path(name)
-    if path.suffix == ".csv":
-        if not path.exists():
-            raise ConfigError(f"case file not found: {path}")
-        return powergrid.load_case(path)
+def _case(name: str) -> powergrid.BusSystem:
     try:
-        return powergrid.load_builtin(name)
-    except FileNotFoundError as exc:
+        return powergrid.resolve_case(name)
+    except (FileNotFoundError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -224,7 +185,9 @@ def _write_manifest(cfg: dict, out: Path, name: str = "manifest.txt") -> Path:
 
 def cmd_generate(args) -> int:
     cfg = _resolve(args)
-    sys_ = _resolve_case(cfg)
+    if not cfg["case"]:
+        raise ConfigError("--case is required")
+    sys_ = _case(cfg["case"])
     out = _out_dir(cfg)
     try:
         noise = NoiseModel(cfg["noise_sigma"])
@@ -304,14 +267,15 @@ def cmd_benchmark(args) -> int:
     cfg = _resolve(args)
     _validate_choices(cfg)
     spec = _experiment_spec(cfg)
-    for system in spec.systems:
-        _check_system(system)
+    cases = {name: _case(name) for name in spec.systems}
     out = _out_dir(cfg)
     _write_manifest(cfg, out)
     # wall_time_s varies between runs, so reruns of an identical configuration
-    # reuse the stored rows; this is what makes rerun outputs byte-identical
+    # on identical code reuse the stored rows; this is what makes rerun
+    # outputs byte-identical
     key_lines = _manifest_lines(cfg, include=[k for k in CONFIG_KEYS
                                               if k not in ("out_dir", "threads", "case", "n")])
+    key_lines.append(f"code = {_code_fingerprint()}")
     spec_hash = hashlib.sha256("\n".join(key_lines).encode()).hexdigest()[:16]
     cache_path = out / f"rows_{spec_hash}.csv"
     if cache_path.exists():
@@ -321,7 +285,7 @@ def cmd_benchmark(args) -> int:
         fs_log = {}
         results = bench.run_matrix(spec, fs_log=fs_log)
         for (system, method), (fs_res, seconds) in sorted(fs_log.items()):
-            jac = powergrid.build_jacobian(_load_system(system))
+            jac = powergrid.build_jacobian(cases[system])
             stem = Path(system).stem if system.endswith(".csv") else system
             txt, _trace = featsel.export_fs_result(fs_res, jac.row_labels,
                                                    out / f"fs_{stem}_{method}")
@@ -343,36 +307,28 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _code_fingerprint() -> str:
+    """Package version and a digest of its sources, so cached rows never outlive the code."""
+    h = hashlib.sha256(__version__.encode())
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + path.read_bytes())
+    return h.hexdigest()
+
+
 def _load_dataset_arg(args):
     path = Path(args.dataset)
     if not path.exists():
         raise ConfigError(f"dataset file not found: {path}")
-    return attack.load_dataset(path)
-
-
-def _check_system(name: str) -> None:
-    path = Path(name)
-    if path.suffix == ".csv":
-        if not path.exists():
-            raise ConfigError(f"case file not found: {path}")
-        return
     try:
-        powergrid.builtin_case_path(name)
-    except FileNotFoundError as exc:
+        return attack.load_dataset(path)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _load_system(name: str):
-    path = Path(name)
-    if path.suffix == ".csv" and path.exists():
-        return powergrid.load_case(path)
-    return powergrid.load_builtin(name)
 
 
 def _row_labels_for(ds) -> list:
     system = ds.meta.get("system", "")
     try:
-        jac = powergrid.build_jacobian(_load_system(str(system)))
+        jac = powergrid.build_jacobian(powergrid.resolve_case(str(system)))
         if len(jac.row_labels) == ds.n_features:
             return list(jac.row_labels)
     except (FileNotFoundError, ValueError):

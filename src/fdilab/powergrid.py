@@ -144,6 +144,14 @@ def load_builtin(name: str) -> BusSystem:
     return load_case(builtin_case_path(name))
 
 
+def resolve_case(name: str) -> BusSystem:
+    """Load a case CSV path (suffix .csv) or a bundled case by name."""
+    path = Path(name)
+    if path.suffix == ".csv":
+        return load_case(path)
+    return load_builtin(name)
+
+
 @dataclass(frozen=True)
 class DcJacobian:
     """Constant measurement Jacobian of the DC model.
@@ -254,19 +262,25 @@ def _weights(w, m: int) -> np.ndarray:
     return out
 
 
+def _gain(H: DcJacobian, variance):
+    """Weighted Jacobian Hw = W^-1 H and gain matrix G = H^T W^-1 H."""
+    wi = _weights(variance, H.n_measurements)
+    Hw = H.matrix * wi[:, None]
+    return Hw, H.matrix.T @ Hw
+
+
 def wls_estimate(H: DcJacobian, variance, z: np.ndarray) -> np.ndarray:
     """Weighted least-squares state estimate x_hat = G^-1 H^T W^-1 z.
 
-    variance is the diagonal of W (scalar = uniform). Solves the normal
-    equations directly; see wls_estimate_iterative for the fixed-point form.
+    variance is the diagonal of W (scalar = uniform); z is one measurement
+    vector (m,) or a block (m, k) of them. Solves the normal equations
+    directly; see wls_estimate_iterative for the fixed-point form.
     """
     z = np.asarray(z, dtype=float)
     m = H.n_measurements
-    if z.shape != (m,):
+    if z.ndim not in (1, 2) or z.shape[0] != m:
         raise ValueError(f"measurement length {z.shape} does not match {m} rows")
-    wi = _weights(variance, m)
-    Hw = H.matrix * wi[:, None]
-    G = H.matrix.T @ Hw
+    Hw, G = _gain(H, variance)
     try:
         return np.linalg.solve(G, Hw.T @ z)
     except np.linalg.LinAlgError as exc:
@@ -282,10 +296,7 @@ def wls_estimate_iterative(H: DcJacobian, variance, z: np.ndarray,
     any start; iterating to tol guards against round-off.
     """
     z = np.asarray(z, dtype=float)
-    m = H.n_measurements
-    wi = _weights(variance, m)
-    Hw = H.matrix * wi[:, None]
-    G = H.matrix.T @ Hw
+    Hw, G = _gain(H, variance)
     x = np.zeros(H.n_states) if x0 is None else np.asarray(x0, dtype=float).copy()
     for _ in range(max_iter):
         step = np.linalg.solve(G, Hw.T @ (z - H.matrix @ x))

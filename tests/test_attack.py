@@ -5,6 +5,7 @@ import pytest
 
 from fdilab import (
     AttackConfig,
+    Dataset,
     NoiseModel,
     build_jacobian,
     calibrate_threshold,
@@ -215,9 +216,15 @@ class TestDatasetIO:
 
     def test_ragged_row_reports_line(self, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text("f1,f2,label\n0.1,0.2,1\n0.3,0\n")
-        with pytest.raises(ValueError, match="line 3"):
-            load_dataset(p)
+        # a short row, a non-numeric feature, a non-integer label, a label outside {0, 1}
+        for bad_row in ("0.3,0", "0.3,abc,0", "0.3,0.4,yes", "0.3,0.4,2"):
+            p.write_text(f"f1,f2,label\n0.1,0.2,1\n{bad_row}\n")
+            with pytest.raises(ValueError, match="line 3"):
+                load_dataset(p)
+
+    def test_labels_must_be_binary(self):
+        with pytest.raises(ValueError, match="labels"):
+            Dataset(X=np.zeros((3, 2)), y=np.array([0, 1, 5]))
 
     def test_load_without_sidecar(self, tmp_path):
         p = tmp_path / "ds.csv"

@@ -1,6 +1,9 @@
 """Harness behavior: sub-seeding, grid search, calibration, the experiment
 matrix, and result serialization."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -19,10 +22,11 @@ from fdilab import (
     load_builtin,
     load_results,
     render_report,
+    resolve_case,
     run_matrix,
 )
 from fdilab.attack import batch_residuals
-from fdilab.bench import _experiment_datasets, _resolve_system, dataset_fingerprint, subseed
+from fdilab.bench import _experiment_datasets, dataset_fingerprint, subseed
 from fdilab.classify import AnnConfig, SvmConfig
 from fdilab.featsel import GaParams
 
@@ -151,6 +155,19 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_threshold(load_builtin("ieee14"), quantile=1.0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_threshold_matches_chi_square_quantile(self, seed):
+        # With W = sigma^2 I the WLS residual ||r||^2 / sigma^2 is chi-square
+        # with m - n degrees of freedom (Abur & Exposito, Power System State
+        # Estimation, 2004); its 95% quantile from the Wilson-Hilferty form.
+        sys = load_builtin("ieee14")
+        sigma = 0.01
+        thr = calibrate_threshold(sys, NoiseModel(sigma), n_samples=2000, seed=seed)
+        dof = sys.n_measurements - sys.n_states
+        z95 = 1.6448536269514722
+        q95 = dof * (1 - 2 / (9 * dof) + z95 * math.sqrt(2 / (9 * dof))) ** 3
+        assert abs(thr / sigma ** 2 / q95 - 1) < 0.06
+
 
 class TestExperimentSpec:
     def test_config_accessors(self):
@@ -160,10 +177,14 @@ class TestExperimentSpec:
         assert spec.fs_params("ga") is spec.ga
 
     def test_resolve_builtin_and_path(self, tmp_path):
-        assert _resolve_system("ieee14").n_buses == 14
+        assert resolve_case("ieee14").n_buses == 14
         p = tmp_path / "tri.csv"
         p.write_text(TRIANGLE_CSV)
-        assert _resolve_system(str(p)).n_buses == 3
+        assert resolve_case(str(p)).n_buses == 3
+        with pytest.raises(FileNotFoundError, match="case file not found"):
+            resolve_case(str(tmp_path / "x.csv"))
+        with pytest.raises(FileNotFoundError, match="no bundled case named 'ieee99'"):
+            resolve_case("ieee99")
 
     def test_train_test_streams_differ(self):
         spec = small_spec()
@@ -193,13 +214,12 @@ class TestRunMatrix:
         b = run_matrix(small_spec())
         assert [(r.accuracy, r.n_features) for r in a] == [(r.accuracy, r.n_features) for r in b]
 
-    def test_threads_do_not_change_results(self, tmp_path, monkeypatch):
+    def test_threads_do_not_change_results(self, tmp_path):
         tri = tmp_path / "tri.csv"
         tri.write_text(TRIANGLE_CSV)
         spec = small_spec(systems=("ieee14", str(tri)), n_train=80, n_test=40)
         serial = run_matrix(spec)
-        monkeypatch.setenv("FDI_LAB_THREADS", "2")
-        threaded = run_matrix(spec)
+        threaded = run_matrix(dataclasses.replace(spec, threads=2))
         assert [(r.system, r.fs_method, r.accuracy, r.n_features) for r in serial] == \
                [(r.system, r.fs_method, r.accuracy, r.n_features) for r in threaded]
 

@@ -4,7 +4,7 @@ and byte-identical benchmark reruns."""
 import numpy as np
 import pytest
 
-from fdilab import load_dataset
+from fdilab import cli, load_dataset
 from fdilab.cli import CONFIG_KEYS, ConfigError, _read_config_file, main
 
 
@@ -24,6 +24,10 @@ class TestExitCodes:
         assert run(["generate", "--case", "nonexistent", "--n", "10",
                     "--out-dir", str(tmp_path)]) == 1
         assert "no bundled case" in capsys.readouterr().err
+        malformed = tmp_path / "bad.csv"
+        malformed.write_text("BUS,1,0\nBUS,2,0\nBRANCH,1,two,0.1\n")
+        assert run(["generate", "--case", str(malformed), "--out-dir", str(tmp_path)]) == 1
+        assert "line 3" in capsys.readouterr().err
 
     def test_runtime_error_is_2(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
@@ -116,6 +120,10 @@ class TestGridsearchCmd:
     def test_missing_dataset_is_config_error(self, tmp_path):
         assert run(["gridsearch", "--dataset", str(tmp_path / "no.csv"),
                     "--classifier", "knn", "--out-dir", str(tmp_path)]) == 1
+        bad_label = tmp_path / "bad.csv"
+        bad_label.write_text("f1,f2,label\n0.1,0.2,1\n0.3,0.4,5\n")
+        assert run(["gridsearch", "--dataset", str(bad_label),
+                    "--classifier", "knn", "--out-dir", str(tmp_path)]) == 1
 
     def test_unknown_classifier_rejected(self, tmp_path):
         ds_path = tmp_path / "ds.csv"
@@ -182,9 +190,45 @@ class TestBenchmarkCmd:
         assert "n_train = 120" in manifest
         assert "systems = ieee14" in manifest
 
+    def test_code_change_invalidates_cached_rows(self, tmp_path, capsys, monkeypatch):
+        out_dir = tmp_path / "bench"
+        assert self._run_bench(out_dir) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_code_fingerprint", lambda: "other code")
+        assert self._run_bench(out_dir) == 0
+        assert "reusing cached rows" not in capsys.readouterr().out
+
     def test_unknown_system_is_config_error(self, tmp_path, capsys):
         assert run(["benchmark", "--systems", "ieee99", "--out-dir", str(tmp_path)]) == 1
         assert "no bundled case" in capsys.readouterr().err
+        missing = tmp_path / "x.csv"
+        assert run(["benchmark", "--systems", str(missing), "--out-dir", str(tmp_path)]) == 1
+        assert "case file not found" in capsys.readouterr().err
+
+
+class TestThreads:
+    SMALL = ["benchmark", "--systems", "ieee14", "--fs", "none", "--classifier", "knn",
+             "--n-train", "60", "--n-test", "30"]
+
+    def _manifest_threads(self, out_dir, *extra):
+        assert run(self.SMALL + ["--out-dir", str(out_dir), *extra]) == 0
+        return [line for line in (out_dir / "manifest.txt").read_text().splitlines()
+                if line.startswith("threads = ")]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "1.5"])
+    def test_bad_env_value_is_config_error(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("FDI_LAB_THREADS", value)
+        assert run(self.SMALL + ["--out-dir", str(tmp_path)]) == 1
+        assert "FDI_LAB_THREADS" in capsys.readouterr().err
+
+    def test_flag_over_env_over_config_file(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 4\n")
+        assert self._manifest_threads(tmp_path / "a", "--config", str(cfg)) == ["threads = 4"]
+        monkeypatch.setenv("FDI_LAB_THREADS", "3")
+        assert self._manifest_threads(tmp_path / "b", "--config", str(cfg)) == ["threads = 3"]
+        assert self._manifest_threads(tmp_path / "c", "--config", str(cfg),
+                                      "--threads", "2") == ["threads = 2"]
 
 
 class TestReportCmd:

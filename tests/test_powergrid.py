@@ -247,6 +247,14 @@ class TestWls:
         z = np.arange(6.0)
         assert np.allclose(wls_estimate(jac, 0.0, z), wls_estimate(jac, 1.0, z))
 
+    def test_block_of_measurements_column_by_column(self):
+        jac = build_jacobian(load_builtin("ieee14"))
+        Z = np.random.default_rng(0).normal(size=(jac.n_measurements, 5))
+        block = wls_estimate(jac, 1e-4, Z)
+        assert block.shape == (jac.n_states, 5)
+        for j in range(5):
+            assert np.allclose(block[:, j], wls_estimate(jac, 1e-4, Z[:, j]), rtol=1e-12)
+
     def test_wrong_measurement_length(self):
         jac = build_jacobian(triangle())
         with pytest.raises(ValueError, match="measurement length"):
