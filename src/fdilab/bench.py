@@ -179,6 +179,7 @@ class ExperimentResult:
     accuracy: float
     wall_time_s: float
     seed: int
+    converged: bool = True    # False when the SVM solver hit its iteration cap
 
 
 def _experiment_datasets(spec: ExperimentSpec, sys: BusSystem):
@@ -223,7 +224,7 @@ def _fs_job(spec: ExperimentSpec, system: str):
             wall = time.perf_counter() - t0
             out_rows[(system, fs, kind)] = ExperimentResult(
                 system=system, fs_method=fs, classifier=kind, n_features=n_features,
-                accuracy=acc, wall_time_s=wall, seed=spec.seed)
+                accuracy=acc, wall_time_s=wall, seed=spec.seed, converged=model.converged)
     return out_rows, fs_runs
 
 
@@ -253,7 +254,7 @@ def run_matrix(spec: ExperimentSpec, fs_log: dict | None = None) -> list:
 
 # ----------------------------------------------------------- export / report
 
-RESULTS_HEADER = "system,fs_method,classifier,n_features,accuracy,wall_time_s,seed"
+RESULTS_HEADER = "system,fs_method,classifier,n_features,accuracy,wall_time_s,seed,converged"
 
 
 def export_results(results, path) -> Path:
@@ -265,7 +266,7 @@ def export_results(results, path) -> Path:
         fh.write(RESULTS_HEADER + "\n")
         for r in results:
             fh.write(f"{r.system},{r.fs_method},{r.classifier},{r.n_features},"
-                     f"{r.accuracy!r},{r.wall_time_s:.3f},{r.seed}\n")
+                     f"{r.accuracy!r},{r.wall_time_s:.3f},{r.seed},{int(r.converged)}\n")
     return path
 
 
@@ -276,15 +277,19 @@ def load_results(path) -> list:
         raise ValueError(f"{path}: not a results CSV")
     out = []
     for line in lines[1:]:
-        sysname, fs, kind, nf, acc, wall, seed = line.split(",")
+        sysname, fs, kind, nf, acc, wall, seed, converged = line.split(",")
         out.append(ExperimentResult(system=sysname, fs_method=fs, classifier=kind,
                                     n_features=int(nf), accuracy=float(acc),
-                                    wall_time_s=float(wall), seed=int(seed)))
+                                    wall_time_s=float(wall), seed=int(seed),
+                                    converged=converged == "1"))
     return out
 
 
 def render_report(results) -> str:
-    """Per-system table: one row per FS method, one accuracy column per classifier."""
+    """Per-system table: one row per FS method, one accuracy column per classifier.
+
+    An accuracy whose model did not converge is marked with a `*`.
+    """
     if not results:
         raise ValueError("no results to report")
     systems = []
@@ -310,7 +315,13 @@ def render_report(results) -> str:
             nf = next(iter(cells.values())).n_features
             row = f"{fs:<8}{nf:>9}"
             for c in classifiers:
-                row += f"{cells[c].accuracy:>10.4f}" if c in cells else f"{'-':>10}"
+                cell = cells.get(c)
+                if cell is None:
+                    row += "-".rjust(10)
+                else:
+                    row += (f"{cell.accuracy:.4f}" + ("" if cell.converged else "*")).rjust(10)
             lines.append(row)
         lines.append("")
+    if not all(r.converged for r in results):
+        lines.append("* the solver stopped at its iteration cap before converging")
     return "\n".join(lines).rstrip() + "\n"

@@ -81,15 +81,17 @@ def stratified_split(y: np.ndarray, val_fraction: float, seed: int):
 class SvmConfig:
     """Soft-margin Gaussian-kernel SVM hyperparameters.
 
-    max_passes is the number of consecutive full sweeps without a KKT
-    violation fix required to declare convergence; max_sweeps is the hard cap.
+    tol bounds the maximal KKT violation at convergence. max_sweeps caps the
+    solver's iterations (one working pair each); a fit that reaches it is
+    returned with converged=False. max_passes is validated but unused: the
+    second-order solver has no notion of passes.
     """
 
     C: float = 10.0
     gamma: float = 0.1
     tol: float = 1e-3
     max_passes: int = 3
-    max_sweeps: int = 4000
+    max_sweeps: int = 100_000
 
     def __post_init__(self):
         if not (self.C > 0 and self.gamma > 0 and self.tol > 0):
@@ -153,79 +155,63 @@ def _gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
 
 # ----------------------------------------------------------------------- SVM
 
-def _smo(K: np.ndarray, y_pm: np.ndarray, cfg: SvmConfig):
-    """Sequential minimal optimization on a precomputed kernel matrix.
+_TAU = 1e-12  # curvature used when K_ii + K_jj - 2 K_ij <= 0
 
-    Deterministic: sweeps examples in index order; the partner j is the
-    maximizer of |E_i - E_j| (lowest index on ties), falling back to an index
-    scan when that pair cannot make progress. Returns (alpha, b, converged).
+
+def _smo(K: np.ndarray, y_pm: np.ndarray, cfg: SvmConfig):
+    """SMO with second-order working-set selection (WSS2) on a precomputed kernel.
+
+    This is the LIBSVM solver of Fan, Chen & Lin, "Working Set Selection Using
+    Second Order Information for Training SVM", JMLR 2005. It minimises
+    1/2 a'Qa - sum(a) with Q_st = y_s y_t K_st over 0 <= a <= C, y'a = 0,
+    tracking v = -y * G where G = Qa - 1 is the gradient. Each iteration picks
+    i = argmax v over I_up, then j over I_low minimising -b^2/a with
+    b = v_i - v_j > 0 and a = K_ii + K_jj - 2 K_ij, and takes the clipped
+    Newton step along y_i e_i - y_j e_j. Alphas that reach a bound are set to
+    it exactly, so dropped alphas are exact zeros. It stops when
+    max_{I_up} v - min_{I_low} v < tol; cfg.max_sweeps caps the iterations.
+    Ties go to the lowest index. Returns (alpha, b, converged).
     """
     n = K.shape[0]
     C = float(cfg.C)
+    y = np.asarray(y_pm, dtype=float)
+    pos = y > 0
+    diag = K.diagonal().copy()
     alpha = np.zeros(n)
-    b = 0.0
-    E = -y_pm.astype(float)  # decision is 0 everywhere at the start
-
-    def try_pair(i, j):
-        nonlocal b, E
-        if i == j:
-            return False
-        ai_old, aj_old = alpha[i], alpha[j]
-        yi, yj = y_pm[i], y_pm[j]
-        if yi != yj:
-            lo = max(0.0, aj_old - ai_old)
-            hi = min(C, C + aj_old - ai_old)
-        else:
-            lo = max(0.0, ai_old + aj_old - C)
-            hi = min(C, ai_old + aj_old)
-        if lo >= hi:
-            return False
-        eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-        if eta >= 0:
-            return False
-        aj = aj_old - yj * (E[i] - E[j]) / eta
-        aj = min(hi, max(lo, aj))
-        if abs(aj - aj_old) < 1e-12 * (aj + aj_old + 1e-12):
-            return False
-        ai = ai_old + yi * yj * (aj_old - aj)
-        di, dj = ai - ai_old, aj - aj_old
-        b1 = b - E[i] - yi * di * K[i, i] - yj * dj * K[i, j]
-        b2 = b - E[j] - yi * di * K[i, j] - yj * dj * K[j, j]
-        if 0 < ai < C:
-            new_b = b1
-        elif 0 < aj < C:
-            new_b = b2
-        else:
-            new_b = (b1 + b2) / 2.0
-        alpha[i], alpha[j] = ai, aj
-        E += yi * di * K[:, i] + yj * dj * K[:, j] + (new_b - b)
-        b = new_b
-        return True
-
-    passes = 0
-    sweeps = 0
-    converged = True
-    while passes < cfg.max_passes:
-        if sweeps >= cfg.max_sweeps:
-            converged = False
+    v = y.copy()        # -y * G at alpha = 0, where G = -1
+    up = pos.copy()     # I_up: y_t a_t can still grow
+    low = ~pos          # I_low: y_t a_t can still shrink
+    converged = False
+    for it in range(cfg.max_sweeps + 1):
+        v_up = np.where(up, v, -np.inf)
+        i = int(np.argmax(v_up))
+        m = v_up[i]
+        if m - np.min(v, where=low, initial=np.inf) < cfg.tol:
+            converged = True
             break
-        sweeps += 1
-        changed = 0
-        for i in range(n):
-            r = y_pm[i] * E[i]
-            violating = (r < -cfg.tol and alpha[i] < C) or (r > cfg.tol and alpha[i] > 0)
-            if not violating:
-                continue
-            j = int(np.argmax(np.abs(E - E[i])))
-            if try_pair(i, j):
-                changed += 1
-                continue
-            for j in range(n):
-                if try_pair(i, j):
-                    changed += 1
-                    break
-        passes = passes + 1 if changed == 0 else 0
-    return alpha, b, converged
+        if it == cfg.max_sweeps:
+            break
+        b = m - v
+        a = diag[i] + diag - 2.0 * K[i]
+        a[a <= 0] = _TAU
+        j = int(np.argmin(np.where(low & (b > 0), -(b * b) / a, np.inf)))
+        room_i = C - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else C - alpha[j]
+        t = min(b[j] / a[j], room_i, room_j)
+        alpha[i] = (C if pos[i] else 0.0) if t == room_i else alpha[i] + y[i] * t
+        alpha[j] = (0.0 if pos[j] else C) if t == room_j else alpha[j] - y[j] * t
+        for k in (i, j):
+            up[k] = alpha[k] < C if pos[k] else alpha[k] > 0.0
+            low[k] = alpha[k] > 0.0 if pos[k] else alpha[k] < C
+        v -= t * (K[i] - K[j])  # K is symmetric, so rows are columns
+    free = (alpha > 0.0) & (alpha < C)
+    if free.any():
+        b0 = float(v[free].mean())
+    else:
+        # no free vector: midpoint of the bias interval the bound vectors allow
+        b0 = 0.5 * float(np.max(v, where=up, initial=-np.inf)
+                         + np.min(v, where=low, initial=np.inf))
+    return alpha, b0, converged
 
 
 def _svm_fit(X: np.ndarray, y: np.ndarray, cfg: SvmConfig):
@@ -316,12 +302,9 @@ def ann_hidden_size(L: int, N: int = 2) -> int:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; both branches give the textbook form exactly
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softmax(S):

@@ -124,6 +124,8 @@ def _resolve(args) -> dict:
         if val is not None:
             caster, _default = CONFIG_KEYS[key]
             cfg[key] = caster(val) if isinstance(val, str) else val
+    if cfg["threads"] < 1:
+        raise ConfigError(f"threads must be a positive integer, got {cfg['threads']}")
     return cfg
 
 
@@ -200,6 +202,7 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     dest = Path(args.out) if args.out else out / f"{sys_.name}_n{cfg['n']}_seed{cfg['seed']}.csv"
+    ds.meta["case"] = cfg["case"]  # `system` holds only the stem of a case CSV
     attack.save_dataset(ds, dest)
     n_attacked = int(ds.y.sum())
     print(f"wrote {dest} ({ds.n_samples} samples, {ds.n_features} features, "
@@ -213,8 +216,12 @@ def cmd_gridsearch(args) -> int:
     _validate_choices(cfg)
     ds = _load_dataset_arg(args)
     out = _out_dir(cfg)
+    # cells are filed under the code fingerprint, so accuracies that other
+    # code computed are never served
+    code = _code_fingerprint()
     cache_path = out / "gridsearch_cache.json"
-    cache = json.loads(cache_path.read_text()) if cache_path.exists() else {}
+    stored = json.loads(cache_path.read_text()) if cache_path.exists() else {}
+    cache = stored.get(code, {})
     for kind in kinds:
         spec = bench.GridSearchSpec(classifier=kind, grid=bench.default_grid(kind),
                                     holdout=cfg["holdout"], seed=cfg["seed"],
@@ -234,7 +241,7 @@ def cmd_gridsearch(args) -> int:
             fh.write(f"holdout_accuracy = {res.best_accuracy!r}\n")
         print(f"{kind}: best {res.best_config} holdout accuracy {res.best_accuracy:.4f} "
               f"({res.from_cache} of {len(res.rows)} cells from cache)")
-    cache_path.write_text(json.dumps(cache, indent=0, sort_keys=True))
+    cache_path.write_text(json.dumps({code: cache}, indent=0, sort_keys=True))
     return 0
 
 
@@ -326,9 +333,9 @@ def _load_dataset_arg(args):
 
 
 def _row_labels_for(ds) -> list:
-    system = ds.meta.get("system", "")
+    case = ds.meta.get("case", ds.meta.get("system", ""))
     try:
-        jac = powergrid.build_jacobian(powergrid.resolve_case(str(system)))
+        jac = powergrid.build_jacobian(powergrid.resolve_case(str(case)))
         if len(jac.row_labels) == ds.n_features:
             return list(jac.row_labels)
     except (FileNotFoundError, ValueError):

@@ -24,6 +24,7 @@ from fdilab import (
     render_report,
     resolve_case,
     run_matrix,
+    train_model,
 )
 from fdilab.attack import batch_residuals
 from fdilab.bench import _experiment_datasets, dataset_fingerprint, subseed
@@ -71,6 +72,12 @@ class TestDefaultGrids:
         grid = default_grid("svm")
         assert len(grid) == 25
         assert SvmConfig(C=10.0, gamma=0.1) in grid
+
+    def test_every_svm_grid_point_converges(self):
+        train, _ = _experiment_datasets(small_spec(n_train=500), load_builtin("ieee14"))
+        for cfg in default_grid("svm"):
+            model = train_model(train.X, train.y, "svm", cfg)
+            assert model.converged, cfg
 
     def test_knn_grid_covers_default(self):
         grid = default_grid("knn")
@@ -237,12 +244,21 @@ class TestResultsIO:
         p = tmp_path / "results.csv"
         export_results(rows, p)
         header = p.read_text().splitlines()[0]
-        assert header == "system,fs_method,classifier,n_features,accuracy,wall_time_s,seed"
+        assert header == ("system,fs_method,classifier,n_features,accuracy,wall_time_s,seed,"
+                          "converged")
         back = load_results(p)
-        assert [(r.system, r.fs_method, r.classifier, r.n_features, r.accuracy, r.seed)
-                for r in back] == \
-               [(r.system, r.fs_method, r.classifier, r.n_features, r.accuracy, r.seed)
-                for r in rows]
+        assert [(r.system, r.fs_method, r.classifier, r.n_features, r.accuracy, r.seed,
+                 r.converged) for r in back] == \
+               [(r.system, r.fs_method, r.classifier, r.n_features, r.accuracy, r.seed,
+                 r.converged) for r in rows]
+
+    def test_unconverged_row_round_trips(self, tmp_path):
+        rows = run_matrix(small_spec(fs_methods=("none",), classifiers=("svm",),
+                                     svm=SvmConfig(max_sweeps=1)))
+        assert [r.converged for r in rows] == [False]
+        p = export_results(rows, tmp_path / "results.csv")
+        assert p.read_text().splitlines()[1].endswith(",0")
+        assert [r.converged for r in load_results(p)] == [False]
 
     def test_identical_results_identical_bytes(self, tmp_path):
         rows = run_matrix(small_spec())
@@ -284,6 +300,15 @@ class TestReport:
         text = render_report(rows)
         ga_line = next(l for l in text.splitlines() if l.startswith("ga"))
         assert "-" in ga_line
+
+    def test_unconverged_cell_is_starred(self):
+        rows = self.fabricated()
+        assert "*" not in render_report(rows)
+        rows[2] = dataclasses.replace(rows[2], converged=False)  # (ga, svm)
+        text = render_report(rows)
+        ga_line = next(l for l in text.splitlines() if l.startswith("ga"))
+        assert "0.9700*" in ga_line and "0.9500*" not in ga_line
+        assert "iteration cap" in text
 
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError):

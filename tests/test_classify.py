@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdilab import (
     AnnConfig,
@@ -18,6 +19,7 @@ from fdilab import (
 )
 from fdilab.classify import (
     _gram,
+    _smo,
     ann_forward,
     ann_hidden_size,
     ann_init,
@@ -179,6 +181,29 @@ class TestSvm:
             want = dual_obj_loops(a_star, K, y_pm)
             got = svm_dual_objective(model)
             assert abs(got - want) < 1e-3, f"trial {trial}: {got} vs {want}"
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(8, 40), st.floats(0.1, 2.0), st.floats(0.3, 2.0),
+           st.integers(0, 2 ** 31 - 1))
+    def test_solution_is_feasible_kkt_and_optimal(self, n, C, gamma, seed):
+        # C and gamma stay where the projected-gradient oracle converges
+        rng = np.random.default_rng(seed)
+        X = rng.normal(0.0, 1.0, (n, 3))
+        y_pm = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        y_pm[:2] = (1.0, -1.0)
+        K = _gram(X, X, gamma)
+        cfg = SvmConfig(C=C, gamma=gamma, tol=1e-4)
+        a, _b, converged = _smo(K, y_pm, cfg)
+        assert converged
+        assert np.all(a >= 0.0) and np.all(a <= C)
+        assert abs(float(a @ y_pm)) < 1e-8
+        # maximal violating pair of -y * grad over I_up and I_low
+        v = -y_pm * (y_pm * (K @ (a * y_pm)) - 1.0)
+        up = np.where(y_pm > 0, a < C, a > 0)
+        low = np.where(y_pm > 0, a > 0, a < C)
+        assert v[up].max() - v[low].min() <= cfg.tol
+        want = dual_obj_loops(svm_dual_oracle(K, y_pm, C), K, y_pm)
+        assert abs(dual_obj_loops(a, K, y_pm) - want) < 1e-3
 
     def test_unconverged_flag(self):
         X, y = blobs(seed=5)

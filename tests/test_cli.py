@@ -117,6 +117,18 @@ class TestGridsearchCmd:
                     "--out-dir", str(out_dir)]) == 0
         assert "20 of 20 cells from cache" in capsys.readouterr().out
 
+    def test_code_change_invalidates_cached_cells(self, tmp_path, capsys, monkeypatch):
+        ds_path = tmp_path / "ds.csv"
+        assert run(["generate", "--case", "ieee14", "--n", "120", "--seed", "5",
+                    "--out", str(ds_path), "--out-dir", str(tmp_path)]) == 0
+        argv = ["gridsearch", "--dataset", str(ds_path), "--classifier", "knn",
+                "--out-dir", str(tmp_path / "gs")]
+        assert run(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_code_fingerprint", lambda: "other code")
+        assert run(argv) == 0
+        assert "(0 of 20 cells from cache)" in capsys.readouterr().out
+
     def test_missing_dataset_is_config_error(self, tmp_path):
         assert run(["gridsearch", "--dataset", str(tmp_path / "no.csv"),
                     "--classifier", "knn", "--out-dir", str(tmp_path)]) == 1
@@ -145,6 +157,20 @@ class TestSelectCmd:
         assert "selected:" in txt
         assert "flow" in txt or "inj:" in txt  # labels resolved from the case
         assert (out_dir / "fs_ga_trace.csv").exists()
+
+    def test_case_csv_dataset_gets_row_labels(self, tmp_path):
+        case = tmp_path / "tri.csv"
+        case.write_text("BUS,1,1.5\nBUS,2,-0.5\nBUS,3,-1\n"
+                        "BRANCH,1,2,0.1\nBRANCH,2,3,0.1\nBRANCH,1,3,0.1\n")
+        ds_path = tmp_path / "ds.csv"
+        assert run(["generate", "--case", str(case), "--n", "60", "--seed", "0",
+                    "--out", str(ds_path), "--out-dir", str(tmp_path)]) == 0
+        out_dir = tmp_path / "sel"
+        assert run(["select", "--dataset", str(ds_path), "--fs", "ga",
+                    "--seed", "0", "--out-dir", str(out_dir)]) == 0
+        selected = (out_dir / "fs_ga.txt").read_text().split("selected:\n", 1)[1]
+        labels = [line.split()[1] for line in selected.splitlines()]
+        assert labels and all(label.startswith(("flow", "inj:")) for label in labels)
 
     def test_fs_none_only_is_config_error(self, tmp_path):
         ds_path = tmp_path / "ds.csv"
@@ -220,6 +246,14 @@ class TestThreads:
         monkeypatch.setenv("FDI_LAB_THREADS", value)
         assert run(self.SMALL + ["--out-dir", str(tmp_path)]) == 1
         assert "FDI_LAB_THREADS" in capsys.readouterr().err
+
+    def test_zero_threads_is_config_error(self, tmp_path, capsys):
+        assert run(self.SMALL + ["--out-dir", str(tmp_path / "a"), "--threads", "0"]) == 1
+        assert "threads" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 0\n")
+        assert run(self.SMALL + ["--out-dir", str(tmp_path / "b"), "--config", str(cfg)]) == 1
+        assert "threads" in capsys.readouterr().err
 
     def test_flag_over_env_over_config_file(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
