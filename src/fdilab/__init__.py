@@ -51,6 +51,7 @@ from .featsel import (
     bpso_search,
     export_fs_result,
     fitness,
+    fitness_batch,
     ga_search,
     make_fitness_context,
     run_search,
@@ -84,7 +85,7 @@ __all__ = [
     "AnnConfig", "KnnConfig", "SvmConfig", "TrainedModel", "accuracy",
     "load_model", "predict", "save_model", "train_model",
     "BcsParams", "BpsoParams", "FsResult", "GaParams", "bcs_search",
-    "bpso_search", "export_fs_result", "fitness", "ga_search",
+    "bpso_search", "export_fs_result", "fitness", "fitness_batch", "ga_search",
     "make_fitness_context", "run_search",
     "BusSystem", "DcJacobian", "NoiseModel", "bad_data_test",
     "build_jacobian", "builtin_case_path", "load_builtin", "load_case",

@@ -251,28 +251,57 @@ def svm_dual_objective(model: TrainedModel) -> float:
 
 # ----------------------------------------------------------------------- KNN
 
-def _squared_distances(A: np.ndarray, B: np.ndarray, chunk_bytes: int = 64 << 20):
-    """Row-chunked exact pairwise squared Euclidean distances.
+KNN_WORK_BYTES = 1 << 20  # working set of one knn_votes chunk
 
-    Computed directly as sum((a-b)^2) so that equal-distance ties are exact,
-    chunked over rows of A to bound memory.
+
+def knn_votes(Q, B, train_y, k: int, masks) -> np.ndarray:
+    """KNN labels of the query rows Q under each feature mask, shape (P, n_q).
+
+    The squared distance of a pair under a mask is the sum of its selected
+    squared coordinate differences, computed for all masks at once as a
+    matrix product over U, the union of the selected columns. Query rows are
+    taken in chunks whose difference and distance buffers fill about
+    KNN_WORK_BYTES (at least one row), allocated once and reused. The k
+    nearest are found with a partition: rows with a distance tie at the k-th
+    place keep the lowest training indices, and split votes go to class 0.
     """
-    n_a = A.shape[0]
-    rows = max(1, chunk_bytes // max(1, B.shape[0] * B.shape[1] * 8))
-    out = np.empty((n_a, B.shape[0]))
-    for start in range(0, n_a, rows):
-        blk = A[start:start + rows]
-        diff = blk[:, None, :] - B[None, :, :]
-        out[start:start + rows] = np.einsum("ijk,ijk->ij", diff, diff)
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    B = np.asarray(B, dtype=float)
+    ones = np.asarray(train_y) == 1
+    masks = np.atleast_2d(np.asarray(masks, dtype=bool))
+    n_b = B.shape[0]
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if k > n_b:
+        raise ValueError(f"k={k} exceeds training size {n_b}")
+    U = np.flatnonzero(masks.any(axis=0))
+    W = masks[:, U].astype(float)
+    Qu, BuT = Q[:, U, None], np.ascontiguousarray(B[:, U].T)
+    P, n_q, n_u = W.shape[0], Q.shape[0], len(U)
+    rows = max(1, min(n_q, KNN_WORK_BYTES // (8 * n_b * (n_u + P))))
+    # (query, column, train) order keeps the innermost loops n_b long
+    D = np.empty((rows, n_u, n_b))
+    d2 = np.empty((rows, P, n_b))
+    out = np.empty((P, n_q), dtype=np.int64)
+    for start in range(0, n_q, rows):
+        r = min(rows, n_q - start)
+        Dc, dist = D[:r], d2[:r]
+        np.subtract(Qu[start:start + r], BuT, out=Dc)
+        np.square(Dc, out=Dc)
+        np.matmul(W, Dc, out=dist)
+        kth = np.partition(dist, k - 1, axis=-1)[..., k - 1:k]
+        near = dist <= kth
+        votes = np.count_nonzero(near & ones, axis=-1)
+        tied = np.count_nonzero(near, axis=-1) > k
+        if tied.any():
+            # more than k within the k-th distance: keep the lowest indices
+            d, t = dist[tied], kth[tied]
+            less, eq = d < t, d == t
+            need = k - np.count_nonzero(less, axis=-1)
+            take = less | (eq & (np.cumsum(eq, axis=-1) <= need[:, None]))
+            votes[tied] = np.count_nonzero(take & ones, axis=-1)
+        out[:, start:start + r] = (2 * votes > k).T
     return out
-
-
-def _knn_vote(train_X, train_y, k: int, X) -> np.ndarray:
-    d2 = _squared_distances(np.atleast_2d(X), train_X)
-    # stable argsort implements the lowest-training-index tie rule
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    ones = train_y[nearest].sum(axis=1)
-    return (2 * ones > k).astype(np.int64)
 
 
 def knn_predict(train_X, train_y, cfg: KnnConfig, X) -> np.ndarray:
@@ -285,10 +314,9 @@ def knn_predict(train_X, train_y, cfg: KnnConfig, X) -> np.ndarray:
     train_y = np.asarray(train_y)
     if train_X.shape[0] == 0:
         raise ValueError("empty training set")
-    if cfg.k > train_X.shape[0]:
-        raise ValueError(f"k={cfg.k} exceeds training size {train_X.shape[0]}")
     single = np.asarray(X).ndim == 1
-    pred = _knn_vote(train_X, train_y, cfg.k, X)
+    all_columns = np.ones((1, train_X.shape[1]), dtype=bool)
+    pred = knn_votes(X, train_X, train_y, cfg.k, all_columns)[0]
     return pred[0] if single else pred
 
 
@@ -449,7 +477,8 @@ def predict(model: TrainedModel, X) -> np.ndarray:
         pred = (svm_decision(model, X) > 0).astype(np.int64)
     elif model.kind == "knn":
         p = model.params
-        pred = _knn_vote(p["X"], p["y"], p["k"], _prepare(model, X))
+        pred = knn_votes(_prepare(model, X), p["X"], p["y"], p["k"],
+                         np.ones((1, p["X"].shape[1]), dtype=bool))[0]
     elif model.kind == "ann":
         P = _ann_scores(model.params, _prepare(model, X))
         pred = (P[:, 1] > P[:, 0]).astype(np.int64)

@@ -255,15 +255,18 @@ def cmd_select(args) -> int:
     out = _out_dir(cfg)
     labels = _row_labels_for(ds)
     spec = _experiment_spec(cfg)
-    for method in methods:
+    system = ds.meta.get("system", "dataset")
+    try:
+        # one context for all methods: fitness is a pure function of the mask
         ctx = featsel.make_fitness_context(
             ds.X, ds.y, classifier="knn", config=KnnConfig(k=cfg["wrapper_k"]),
-            val_fraction=cfg["val_fraction"],
-            seed=bench.subseed(cfg["seed"], ds.meta.get("system", "dataset"), "wrapper-split"),
-            standardize=cfg["standardize"])
+            val_fraction=cfg["val_fraction"], standardize=cfg["standardize"],
+            seed=bench.subseed(cfg["seed"], system, "wrapper-split"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    for method in methods:
         res = featsel.run_search(method, ctx, spec.fs_params(method),
-                                 bench.subseed(cfg["seed"], ds.meta.get("system", "dataset"),
-                                               method, "search"))
+                                 bench.subseed(cfg["seed"], system, method, "search"))
         txt, trace = featsel.export_fs_result(res, labels, out / f"fs_{method}")
         print(f"{method}: {res.n_selected}/{ds.n_features} features, "
               f"fitness {res.best_fitness:.4f}, {res.evaluations} evaluations -> {txt}")

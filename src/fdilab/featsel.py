@@ -16,14 +16,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import KnnConfig, accuracy, predict, stratified_split, train_model
+from .classify import (KnnConfig, _sigmoid, accuracy, knn_votes, predict, standardize_apply,
+                       standardize_fit, stratified_split, train_model)
 
 
 # ----------------------------------------------------------- fitness wrapper
 
 @dataclass
 class FitnessContext:
-    """Train/validation splits plus the wrapped classifier and a mask cache."""
+    """Train/validation splits plus the wrapped classifier and a mask cache.
+
+    X_train and X_val are read-only copies. The scaler works per column, so a
+    masked KNN scaling is a column slice of Xs_train and Xs_val, which are
+    scaled once here.
+    """
 
     X_train: np.ndarray
     y_train: np.ndarray
@@ -35,10 +41,24 @@ class FitnessContext:
     cache: dict = field(default_factory=dict)
     evals: int = 0       # fitness() calls, cache hits included
     trainings: int = 0   # actual classifier fits (cache misses)
+    Xs_train: np.ndarray = field(init=False, repr=False)
+    Xs_val: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.config is None:
             self.config = KnnConfig()
+        self.X_train = np.array(self.X_train, dtype=float)
+        self.X_val = np.array(self.X_val, dtype=float)
+        self.X_train.flags.writeable = False
+        self.X_val.flags.writeable = False
+        if self.classifier == "knn" and self.config.k > self.X_train.shape[0]:
+            raise ValueError(f"wrapper k={self.config.k} exceeds the "
+                             f"{self.X_train.shape[0]} wrapper training rows")
+        self.Xs_train, self.Xs_val = self.X_train, self.X_val
+        if self.standardize:
+            stats = standardize_fit(self.X_train)
+            self.Xs_train = standardize_apply(stats, self.X_train)
+            self.Xs_val = standardize_apply(stats, self.X_val)
 
     @property
     def n_features(self) -> int:
@@ -58,22 +78,37 @@ def make_fitness_context(X, y, classifier: str = "knn", config=None,
 
 def fitness(mask: np.ndarray, ctx: FitnessContext) -> float:
     """Validation accuracy of ctx's classifier trained on the masked columns."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (ctx.n_features,):
-        raise ValueError("mask length mismatch")
-    if not mask.any():
-        raise ValueError("empty feature mask")
-    ctx.evals += 1
-    key = mask.tobytes()
-    hit = ctx.cache.get(key)
-    if hit is not None:
-        return hit
-    ctx.trainings += 1
-    model = train_model(ctx.X_train, ctx.y_train, ctx.classifier, ctx.config,
-                        mask=mask, standardize=ctx.standardize)
-    value = accuracy(predict(model, ctx.X_val), ctx.y_val)
-    ctx.cache[key] = value
-    return value
+    return fitness_batch([mask], ctx)[0]
+
+
+def fitness_batch(masks, ctx: FitnessContext) -> list:
+    """fitness() of each mask in order, with the cache misses scored in one go.
+
+    Every mask counts as one evaluation and every distinct uncached mask as
+    one training, as if the masks were scored one at a time. KNN misses share
+    one knn_votes call on the pre-scaled splits; other classifiers are
+    trained per mask.
+    """
+    masks = [np.asarray(mask, dtype=bool) for mask in masks]
+    for mask in masks:
+        if mask.shape != (ctx.n_features,):
+            raise ValueError("mask length mismatch")
+        if not mask.any():
+            raise ValueError("empty feature mask")
+    ctx.evals += len(masks)
+    keys = [mask.tobytes() for mask in masks]
+    misses = {key: mask for key, mask in zip(keys, masks) if key not in ctx.cache}
+    ctx.trainings += len(misses)
+    if misses and ctx.classifier == "knn":
+        labels = knn_votes(ctx.Xs_val, ctx.Xs_train, ctx.y_train, ctx.config.k,
+                           np.stack(list(misses.values())))
+        ctx.cache.update((key, accuracy(row, ctx.y_val)) for key, row in zip(misses, labels))
+    else:
+        for key, mask in misses.items():
+            model = train_model(ctx.X_train, ctx.y_train, ctx.classifier, ctx.config,
+                                mask=mask, standardize=ctx.standardize)
+            ctx.cache[key] = accuracy(predict(model, ctx.X_val), ctx.y_val)
+    return [ctx.cache[key] for key in keys]
 
 
 def _improves(new_fit: float, new_mask: np.ndarray, old_fit: float, old_mask) -> bool:
@@ -108,10 +143,7 @@ def levy_step(lam: float, rng: np.random.Generator, size=None):
 def binarize(position, rng: np.random.Generator):
     """Bit(s) from continuous state: 1 iff sigmoid(position) > sigma ~ U(0,1)."""
     position = np.asarray(position, dtype=float)
-    # exp only ever sees non-positive arguments; huge positions stay finite
-    s = np.where(position >= 0,
-                 1.0 / (1.0 + np.exp(-np.abs(position))),
-                 np.exp(-np.abs(position)) / (1.0 + np.exp(-np.abs(position))))
+    s = _sigmoid(position)
     draw = rng.uniform(size=position.shape)
     bits = s > draw
     return bits if position.ndim else bool(bits)
@@ -229,7 +261,7 @@ def bcs_search(ctx: FitnessContext, p: BcsParams, rng) -> FsResult:
     evals0 = ctx.evals
     pos = rng.uniform(-1.0, 1.0, (p.population, m))
     masks = [repair_mask(binarize(pos[i], rng), rng) for i in range(p.population)]
-    fits = [fitness(masks[i], ctx) for i in range(p.population)]
+    fits = fitness_batch(masks, ctx)
     best = _Best()
     for i in range(p.population):
         best.offer(fits[i], masks[i])
@@ -252,8 +284,9 @@ def bcs_search(ctx: FitnessContext, p: BcsParams, rng) -> FsResult:
             for i in worst:
                 pos[i] = rng.uniform(-1.0, 1.0, m)
                 masks[i] = repair_mask(binarize(pos[i], rng), rng)
-                fits[i] = fitness(masks[i], ctx)
-                best.offer(fits[i], masks[i])
+            for i, fit in zip(worst, fitness_batch([masks[i] for i in worst], ctx)):
+                fits[i] = fit
+                best.offer(fit, masks[i])
         trace.append(best.fit)
     return FsResult(best_mask=best.mask, best_fitness=best.fit,
                     trace=tuple(trace), evaluations=ctx.evals - evals0)
@@ -271,7 +304,7 @@ def bpso_search(ctx: FitnessContext, p: BpsoParams, rng) -> FsResult:
     evals0 = ctx.evals
     vel = rng.uniform(-1.0, 1.0, (p.population, m))
     x = np.stack([repair_mask(binarize(vel[i], rng), rng) for i in range(p.population)])
-    fits = np.array([fitness(x[i], ctx) for i in range(p.population)])
+    fits = np.array(fitness_batch(x, ctx))
     pbest_x = x.copy()
     pbest_f = fits.copy()
     best = _Best()
@@ -289,7 +322,7 @@ def bpso_search(ctx: FitnessContext, p: BpsoParams, rng) -> FsResult:
                       + p.c2 * r2 * (gbest - xi))
             np.clip(vel[i], -p.v_max, p.v_max, out=vel[i])
             x[i] = repair_mask(binarize(vel[i], rng), rng)
-            f = fitness(x[i], ctx)
+        for i, f in enumerate(fitness_batch(x, ctx)):
             if _improves(f, x[i], pbest_f[i], pbest_x[i]):
                 pbest_f[i] = f
                 pbest_x[i] = x[i].copy()
@@ -311,7 +344,7 @@ def ga_search(ctx: FitnessContext, p: GaParams, rng) -> FsResult:
     m = ctx.n_features
     evals0 = ctx.evals
     masks = [repair_mask(rng.integers(0, 2, m).astype(bool), rng) for _ in range(p.population)]
-    fits = [fitness(mask, ctx) for mask in masks]
+    fits = fitness_batch(masks, ctx)
     best = _Best()
     for i in range(p.population):
         best.offer(fits[i], masks[i])
@@ -344,7 +377,7 @@ def ga_search(ctx: FitnessContext, p: GaParams, rng) -> FsResult:
                 if len(children) < p.population:
                     children.append(kid)
         masks = children
-        fits = [fitness(mask, ctx) for mask in masks]
+        fits = fitness_batch(masks, ctx)
         for i in range(p.population):
             best.offer(fits[i], masks[i])
         trace.append(best.fit)

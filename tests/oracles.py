@@ -87,6 +87,28 @@ def knn_oracle(train_X, train_y, k, x):
     return 1 if ones > zeros else 0
 
 
+def knn_fitness_oracle(mask, X_train, y_train, X_val, y_val, k, standardize=True):
+    """Wrapper fitness the per-mask way: slice the masked columns, fit the
+    scaler on them, build the full val x train x features difference tensor
+    and take the k nearest by a stable argsort (lowest index wins a distance
+    tie); split votes go to class 0."""
+    mask = np.asarray(mask, dtype=bool)
+    Xt = np.asarray(X_train, dtype=float)[:, mask]
+    Xv = np.asarray(X_val, dtype=float)[:, mask]
+    if standardize:
+        mean = Xt.mean(axis=0)
+        std = Xt.std(axis=0)
+        std = np.where(std == 0.0, 1.0, std)
+        Xt = (Xt - mean) / std
+        Xv = (Xv - mean) / std
+    diff = Xv[:, None, :] - Xt[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    ones = np.asarray(y_train)[nearest].sum(axis=1)
+    pred = (2 * ones > k).astype(np.int64)
+    return float((pred == np.asarray(y_val)).mean())
+
+
 def svm_dual_objective(alpha, K, y_pm):
     """W(alpha) = sum(alpha) - 0.5 sum_ij alpha_i alpha_j y_i y_j K_ij, in loops."""
     n = len(alpha)

@@ -17,6 +17,7 @@ from fdilab import (
     save_model,
     train_model,
 )
+from fdilab import classify
 from fdilab.classify import (
     _gram,
     _smo,
@@ -26,6 +27,7 @@ from fdilab.classify import (
     ann_loss_grads,
     kernel_gaussian,
     knn_predict,
+    knn_votes,
     standardize_apply,
     standardize_fit,
     stratified_split,
@@ -255,6 +257,34 @@ class TestKnn:
         single = knn_predict(train_X, train_y, KnnConfig(k=3), q)
         batch = knn_predict(train_X, train_y, KnnConfig(k=3), q[None, :])
         assert single == batch[0]
+
+    def test_tie_heavy_integer_data_matches_oracle(self):
+        # a 3 x 3 grid of points: exact distance ties at the k-th place abound
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            train_X = rng.integers(0, 3, (30, 2)).astype(float)
+            train_y = rng.integers(0, 2, 30)
+            queries = rng.integers(0, 3, (10, 2)).astype(float)
+            k = int(rng.integers(1, 16))
+            got = knn_predict(train_X, train_y, KnnConfig(k=k), queries)
+            want = [knn_oracle(train_X, train_y, k, q) for q in queries]
+            assert got.tolist() == want, f"seed {seed}, k={k}"
+
+    @pytest.mark.parametrize("work_bytes", [1, 3 * 8 * 25 * 9, 1 << 20])
+    def test_votes_per_mask_equal_column_slices(self, monkeypatch, work_bytes):
+        # chunks of 1 and 3 query rows (the last one partial) and a single chunk
+        monkeypatch.setattr(classify, "KNN_WORK_BYTES", work_bytes)
+        rng = np.random.default_rng(23)
+        train_X = rng.integers(0, 3, (25, 6)).astype(float)
+        train_y = rng.integers(0, 2, 25)
+        queries = rng.integers(0, 3, (10, 6)).astype(float)
+        masks = rng.random((3, 6)) < 0.5
+        masks[:, 0] = True
+        got = knn_votes(queries, train_X, train_y, 7, masks)
+        assert got.shape == (3, 10)
+        for mask, row in zip(masks, got):
+            want = [knn_oracle(train_X[:, mask], train_y, 7, q) for q in queries[:, mask]]
+            assert row.tolist() == want
 
     def test_knn_model_roundtrip_predicts_training_data(self):
         X, y = blobs(seed=6)

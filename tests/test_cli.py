@@ -172,6 +172,27 @@ class TestSelectCmd:
         labels = [line.split()[1] for line in selected.splitlines()]
         assert labels and all(label.startswith(("flow", "inj:")) for label in labels)
 
+    def test_methods_share_one_context_without_changing_exports(self, tmp_path):
+        ds_path = tmp_path / "ds.csv"
+        assert run(["generate", "--case", "ieee14", "--n", "120", "--seed", "3",
+                    "--out", str(ds_path), "--out-dir", str(tmp_path)]) == 0
+        base = ["select", "--dataset", str(ds_path), "--seed", "3"]
+        assert run(base + ["--fs", "bcs,bpso,ga", "--out-dir", str(tmp_path / "all")]) == 0
+        for method in ("bcs", "bpso", "ga"):
+            alone = tmp_path / method
+            assert run(base + ["--fs", method, "--out-dir", str(alone)]) == 0
+            for name in (f"fs_{method}.txt", f"fs_{method}_trace.csv"):
+                assert (alone / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+    def test_wrapper_k_above_training_rows_is_config_error(self, tmp_path, capsys):
+        ds_path = tmp_path / "ds.csv"
+        assert run(["generate", "--case", "ieee14", "--n", "40", "--seed", "0",
+                    "--out", str(ds_path), "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert run(["select", "--dataset", str(ds_path), "--fs", "ga", "--wrapper-k", "50",
+                    "--out-dir", str(tmp_path)]) == 1
+        assert "k=50 exceeds the 32 wrapper training rows" in capsys.readouterr().err
+
     def test_fs_none_only_is_config_error(self, tmp_path):
         ds_path = tmp_path / "ds.csv"
         run(["generate", "--case", "ieee14", "--n", "30", "--seed", "0",

@@ -3,6 +3,7 @@ trace and caching behavior."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdilab import (
     BcsParams,
@@ -14,10 +15,11 @@ from fdilab import (
     make_fitness_context,
     run_search,
 )
-from fdilab.classify import KnnConfig
-from fdilab.featsel import _improves, binarize, levy_step, repair_mask
+from fdilab.classify import KnnConfig, SvmConfig, accuracy, predict, stratified_split, train_model
+from fdilab.featsel import (FitnessContext, _improves, binarize, fitness_batch, levy_step,
+                            repair_mask)
 
-from oracles import exhaustive_best_mask
+from oracles import exhaustive_best_mask, knn_fitness_oracle
 
 
 def synthetic_dataset(n=160, n_noise=4, seed=0):
@@ -167,6 +169,80 @@ class TestFitness:
         assert _improves(0.9, one, 0.9, two)         # tie: fewer features wins
         assert not _improves(0.9, two, 0.9, one)
         assert _improves(0.5, two, 0.5, None)        # first offer always lands
+
+
+def random_masks(rng, n_masks, m):
+    masks = rng.random((n_masks, m)) < 0.5
+    masks[np.arange(n_masks), rng.integers(0, m, n_masks)] = True
+    return masks
+
+
+class TestBatchedFitness:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.booleans(), st.integers(1, 15), st.integers(1, 12))
+    def test_batch_equals_per_mask_oracle(self, seed, integer_data, k, n_masks):
+        rng = np.random.default_rng(seed)
+        if integer_data:
+            # unscaled small integers: exact distance ties at the k-th place
+            X = rng.integers(0, 3, (60, 5)).astype(float)
+        else:
+            X = rng.normal(size=(60, 5))
+        y = rng.integers(0, 2, 60)
+        ctx = make_fitness_context(X, y, config=KnnConfig(k=k), seed=seed,
+                                   standardize=not integer_data)
+        masks = random_masks(rng, n_masks, 5)
+        masks = np.concatenate([masks, masks[:2]])  # duplicates in one batch
+        got = fitness_batch(masks, ctx)
+        want = [knn_fitness_oracle(mask, ctx.X_train, ctx.y_train, ctx.X_val, ctx.y_val, k,
+                                   standardize=not integer_data) for mask in masks]
+        assert got == want
+        assert ctx.evals == len(masks)
+        assert ctx.trainings == len({mask.tobytes() for mask in masks})
+
+    def test_batched_and_one_by_one_agree(self):
+        X, y = synthetic_dataset(seed=3)
+        masks = random_masks(np.random.default_rng(0), 40, 6)
+        batched = make_fitness_context(X, y, config=KnnConfig(k=5), seed=1)
+        single = make_fitness_context(X, y, config=KnnConfig(k=5), seed=1)
+        # the second batch repeats ten masks of the first: cache hits across calls
+        values = fitness_batch(masks[:25], batched) + fitness_batch(masks[15:], batched)
+        stream = np.concatenate([masks[:25], masks[15:]])
+        assert values == [fitness(mask, single) for mask in stream]
+        assert (batched.evals, batched.trainings) == (single.evals, single.trainings)
+        assert batched.trainings == len(batched.cache) < batched.evals
+
+    def test_other_wrappers_train_per_mask(self):
+        X, y = synthetic_dataset(n=80, seed=4)
+        ctx = make_fitness_context(X, y, classifier="svm", config=SvmConfig(), seed=1)
+        masks = random_masks(np.random.default_rng(1), 3, 6)
+        want = [accuracy(predict(train_model(ctx.X_train, ctx.y_train, "svm", SvmConfig(),
+                                             mask=mask), ctx.X_val), ctx.y_val)
+                for mask in masks]
+        assert fitness_batch(masks, ctx) == want
+
+    def test_invalid_mask_counts_nothing(self, ctx):
+        good = np.array([True, False, False, True, False, False])
+        with pytest.raises(ValueError, match="empty"):
+            fitness_batch([good, np.zeros(6, dtype=bool)], ctx)
+        assert (ctx.evals, ctx.trainings, ctx.cache) == (0, 0, {})
+
+    def test_context_holds_read_only_copies(self):
+        X, y = synthetic_dataset()
+        train = X[:100].copy()
+        ctx = FitnessContext(X_train=train, y_train=y[:100], X_val=X[100:], y_val=y[100:],
+                             config=KnnConfig(k=5))
+        train[:] = 0.0
+        assert np.array_equal(ctx.X_train, X[:100])
+        for arr in (ctx.X_train, ctx.X_val):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 100.0
+
+    def test_k_larger_than_wrapper_training_rows(self):
+        X, y = synthetic_dataset(n=40)
+        n_train = len(stratified_split(y, 0.2, 0)[0])
+        with pytest.raises(ValueError, match=f"k=50 exceeds the {n_train} wrapper training rows"):
+            make_fitness_context(X, y, config=KnnConfig(k=50), seed=0)
+        make_fitness_context(X, y, config=KnnConfig(k=n_train), seed=0)
 
 
 class TestSearchers:
