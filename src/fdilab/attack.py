@@ -8,6 +8,7 @@ see it. Datasets mix clean and attacked samples for supervised detection.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from .powergrid import (
     DcJacobian,
     NoiseModel,
     build_jacobian,
-    measure,
     solve_dc_state,
     wls_estimate,
 )
@@ -121,7 +121,10 @@ def generate_dataset(sys: BusSystem, n: int, attack_ratio: float, noise: NoiseMo
     stealthy attack added on top of the noisy measurement and label 1.
 
     Reproducible: each sample uses its own child stream of the master seed,
-    so results do not depend on evaluation order.
+    so results do not depend on evaluation order. A sample's stream draws its
+    load factors, then its noise, then its attack; the DC solve and H x then
+    run once for the whole dataset, with one LU of the reduced susceptance
+    matrix.
     """
     if n < 2:
         raise ValueError("need at least 2 samples")
@@ -143,22 +146,23 @@ def generate_dataset(sys: BusSystem, n: int, attack_ratio: float, noise: NoiseMo
     attacked = np.zeros(n, dtype=bool)
     attacked[order[:n_attacked]] = True
 
-    X = np.empty((n, m))
-    clean = np.empty((n, m)) if keep_clean else None
-    y = attacked.astype(np.int64)
+    P = np.empty((n, sys.n_buses))
+    E = np.empty((n, m)) if noise.sigma > 0 else None
+    attacks = []                       # c of each attacked row, in row order
     for i in range(n):
         rng = np.random.default_rng(children[i + 1])
-        factors = rng.uniform(1.0 - load_var, 1.0 + load_var, size=sys.n_buses)
-        x_true = solve_dc_state(sys, jac, base * factors)
-        z = measure(jac, x_true, noise, rng)
+        P[i] = base * rng.uniform(1.0 - load_var, 1.0 + load_var, size=sys.n_buses)
+        if E is not None:
+            E[i] = rng.normal(0.0, noise.sigma, m)
         if attacked[i]:
-            atk = craft_attack(jac, cfg, rng)
-            if clean is not None:
-                clean[i] = z
-            z = z + atk.a
-        elif clean is not None:
-            clean[i] = z
-        X[i] = z
+            attacks.append(craft_attack(jac, cfg, rng).c)
+    S = solve_dc_state(sys, jac, P)
+    X = np.matmul(jac.matrix, S[:, :, None])[:, :, 0]   # row i is H @ S[i], bit for bit
+    if E is not None:
+        X += E
+    clean = X.copy() if keep_clean else None
+    for i, c in zip(np.flatnonzero(attacked), attacks):
+        X[i] += jac.matrix @ c             # the a = H c that craft_attack returned
     meta = {
         "system": sys.name,
         "n": n,
@@ -170,7 +174,7 @@ def generate_dataset(sys: BusSystem, n: int, attack_ratio: float, noise: NoiseMo
         "magnitude_low": cfg.magnitude_low,
         "magnitude_high": cfg.magnitude_high,
     }
-    return Dataset(X=X, y=y, meta=meta, clean_X=clean)
+    return Dataset(X=X, y=attacked.astype(np.int64), meta=meta, clean_X=clean)
 
 
 def stealthiness_report(ds: Dataset, H: DcJacobian, variance, threshold: float):
@@ -202,13 +206,16 @@ def batch_residuals(Z: np.ndarray, H: DcJacobian, variance) -> np.ndarray:
 # ------------------------------------------------------------- dataset files
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Write samples as CSV (header f1..fm,label) plus a key = value sidecar."""
+    """Write samples as CSV (header f1..fm,label) plus a key = value sidecar.
+
+    Features are written with repr, which round-trips every float exactly.
+    """
     path = Path(path)
     m = ds.n_features
     with path.open("w") as fh:
         fh.write(",".join([f"f{j + 1}" for j in range(m)] + ["label"]) + "\n")
-        for row, label in zip(ds.X, ds.y):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
+        for row, label in zip(ds.X, ds.y.tolist()):
+            fh.write(",".join(map(repr, row.tolist())) + f",{label}\n")
     side = path.with_suffix(path.suffix + ".meta")
     with side.open("w") as fh:
         for key, val in ds.meta.items():
@@ -216,6 +223,12 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """Read a dataset CSV (and its sidecar, when present) written by save_dataset.
+
+    The body is parsed in one np.loadtxt call. Every row must hold m finite
+    features and an integer label in {0, 1}; when the parse or a check fails,
+    the rows are scanned one by one and the first bad line is named.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
@@ -224,18 +237,27 @@ def load_dataset(path) -> Dataset:
         if not header or header[-1] != "label":
             raise ValueError(f"{path}: expected header f1,...,fm,label")
         m = len(header) - 1
-        rows, labels = [], []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != m + 1:
-                raise ValueError(f"{path} line {lineno}: expected {m + 1} fields")
-            try:
-                rows.append([float(v) for v in parts[:m]])
-                labels.append(int(parts[m]))
-                if labels[-1] not in (0, 1):
-                    raise ValueError(f"label must be 0 or 1, got {labels[-1]}")
-            except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
+        n_lines = 0
+
+        def lines():
+            nonlocal n_lines
+            for line in fh:
+                n_lines += 1
+                yield line
+
+        try:
+            with warnings.catch_warnings():  # an empty body is checked below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(lines(), delimiter=",", comments=None,
+                                  converters={m: int}, ndmin=2)
+        except (ValueError, OverflowError):
+            data = None
+    # loadtxt skips blank lines, so a row count short of the line count fails too
+    if (data is None or data.shape != (n_lines, m + 1) or n_lines == 0
+            or not np.isfinite(data[:, :m]).all() or not np.isin(data[:, m], (0, 1)).all()):
+        X, y = _scan_rows(path, m)
+    else:
+        X, y = np.ascontiguousarray(data[:, :m]), data[:, m].astype(np.int64)
     meta = {}
     side = path.with_suffix(path.suffix + ".meta")
     if side.exists():
@@ -243,7 +265,28 @@ def load_dataset(path) -> Dataset:
             if "=" in line:
                 key, _, val = line.partition("=")
                 meta[key.strip()] = _parse_meta_value(val.strip())
-    return Dataset(X=np.array(rows), y=np.array(labels, dtype=np.int64), meta=meta)
+    return Dataset(X=X, y=y, meta=meta)
+
+
+def _scan_rows(path: Path, m: int):
+    """Parse the body line by line; raise naming the first bad line."""
+    rows, labels = [], []
+    with path.open() as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.strip().split(",")
+            if len(parts) != m + 1:
+                raise ValueError(f"{path} line {lineno}: expected {m + 1} fields")
+            try:
+                rows.append([float(v) for v in parts[:m]])
+                if not all(map(math.isfinite, rows[-1])):
+                    raise ValueError("non-finite feature")
+                labels.append(int(parts[m]))
+                if labels[-1] not in (0, 1):
+                    raise ValueError(f"label must be 0 or 1, got {labels[-1]}")
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
+    return np.array(rows), np.array(labels, dtype=np.int64)
 
 
 def _parse_meta_value(text: str):

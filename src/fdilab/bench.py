@@ -182,6 +182,24 @@ class ExperimentResult:
     converged: bool = True    # False when the SVM solver hit its iteration cap
 
 
+def check_spec(spec: ExperimentSpec, systems) -> None:
+    """Raise ValueError, naming the config key, for sizes run_matrix would
+    reject part-way through: knn_k above the training rows, wrapper_k above
+    the wrapper training rows, max_targets above a system's state count."""
+    if "knn" in spec.classifiers and spec.knn.k > spec.n_train:
+        raise ValueError(f"knn_k = {spec.knn.k} exceeds the {spec.n_train} training rows")
+    n_attacked = math.floor(spec.n_train * spec.attack_ratio)
+    wrapper_rows = spec.n_train - sum(classify.holdout_size(size, spec.val_fraction)
+                                      for size in (n_attacked, spec.n_train - n_attacked) if size)
+    if spec.wrapper_k > wrapper_rows:
+        raise ValueError(f"wrapper_k = {spec.wrapper_k} exceeds the {wrapper_rows} "
+                         "wrapper training rows")
+    for sys in systems:
+        if spec.max_targets > sys.n_states:
+            raise ValueError(f"max_targets = {spec.max_targets} exceeds the "
+                             f"{sys.n_states} states of {sys.name}")
+
+
 def _experiment_datasets(spec: ExperimentSpec, sys: BusSystem):
     noise = NoiseModel(spec.noise_sigma)
     max_targets = spec.max_targets or math.ceil(sys.n_states / 3)

@@ -52,6 +52,11 @@ def standardize_apply(stats: ScalerStats, X: np.ndarray) -> np.ndarray:
     return (X - stats.mean) / stats.std
 
 
+def holdout_size(class_size: int, val_fraction: float) -> int:
+    """Validation rows stratified_split takes from a non-empty class."""
+    return max(1, int(round(val_fraction * class_size)))
+
+
 def stratified_split(y: np.ndarray, val_fraction: float, seed: int):
     """Indices (train_idx, val_idx) of a per-class holdout split.
 
@@ -67,8 +72,7 @@ def stratified_split(y: np.ndarray, val_fraction: float, seed: int):
     for cls in np.unique(y):
         idx = np.flatnonzero(y == cls)
         rng.shuffle(idx)
-        n_val = max(1, int(round(val_fraction * len(idx))))
-        val.append(idx[:n_val])
+        val.append(idx[:holdout_size(len(idx), val_fraction)])
     val_idx = np.sort(np.concatenate(val))
     mask = np.ones(len(y), dtype=bool)
     mask[val_idx] = False

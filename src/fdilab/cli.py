@@ -278,6 +278,10 @@ def cmd_benchmark(args) -> int:
     _validate_choices(cfg)
     spec = _experiment_spec(cfg)
     cases = {name: _case(name) for name in spec.systems}
+    try:
+        bench.check_spec(spec, cases.values())
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     out = _out_dir(cfg)
     _write_manifest(cfg, out)
     # wall_time_s varies between runs, so reruns of an identical configuration

@@ -328,11 +328,14 @@ def solve_dc_state(sys: BusSystem, jac: DcJacobian, injections: np.ndarray) -> n
 
     Uses the injection rows of H restricted to non-reference buses, which is
     the reduced susceptance matrix of the DC flow equations. The reference bus
-    injection is implied by the others (lossless balance).
+    injection is implied by the others (lossless balance). injections is one
+    vector (n_buses,) or a block (k, n_buses) of them; a block is solved with
+    one LU and gives a C-contiguous (k, n_states) block of angles.
     """
     p = np.asarray(injections, dtype=float)
-    if p.shape != (sys.n_buses,):
+    if p.ndim not in (1, 2) or p.shape[-1] != sys.n_buses:
         raise ValueError("injection vector length mismatch")
     rows = [sys.n_branches + b - 1 for b in jac.state_buses]
     B_red = jac.matrix[rows, :]
-    return np.linalg.solve(B_red, p[[b - 1 for b in jac.state_buses]])
+    rhs = p[..., [b - 1 for b in jac.state_buses]]
+    return np.ascontiguousarray(np.linalg.solve(B_red, rhs.T).T)

@@ -75,6 +75,53 @@ def random_connected_system(rng, n_min=3, n_max=10):
     return BusSystem(name=f"rand{n}", buses=buses, branches=tuple(branches))
 
 
+def generate_dataset_oracle(sys, n, attack_ratio, noise, load_var, cfg, seed,
+                            keep_clean=False):
+    """generate_dataset the per-sample way: for each sample draw its load
+    factors, solve the DC flow for that one injection vector, draw the noisy
+    measurement and, on an attacked row, add a freshly crafted attack.
+
+    Returns (X, y, clean_X or None). The random draws and their order are the
+    package's; only the arithmetic is done one sample at a time.
+    """
+    from fdilab import build_jacobian, craft_attack, default_attack_config, measure
+    from fdilab import solve_dc_state
+
+    jac = build_jacobian(sys)
+    if cfg is None:
+        cfg = default_attack_config(jac.n_states)
+    base = sys.injections()
+    m = jac.n_measurements
+    children = np.random.SeedSequence(seed).spawn(n + 1)
+    master = np.random.default_rng(children[0])
+    n_attacked = int(math.floor(n * attack_ratio))
+    order = master.permutation(n)
+    attacked = np.zeros(n, dtype=bool)
+    attacked[order[:n_attacked]] = True
+    X = np.empty((n, m))
+    clean = np.empty((n, m)) if keep_clean else None
+    for i in range(n):
+        rng = np.random.default_rng(children[i + 1])
+        factors = rng.uniform(1.0 - load_var, 1.0 + load_var, size=sys.n_buses)
+        x_true = solve_dc_state(sys, jac, base * factors)
+        z = measure(jac, x_true, noise, rng)
+        if clean is not None:
+            clean[i] = z
+        if attacked[i]:
+            z = z + craft_attack(jac, cfg, rng).a
+        X[i] = z
+    return X, attacked.astype(np.int64), clean
+
+
+def save_dataset_oracle(X, y, path):
+    """The dataset CSV written one value at a time: header f1..fm,label, then
+    each feature as repr(float) and the label as an int."""
+    with open(path, "w") as fh:
+        fh.write(",".join([f"f{j + 1}" for j in range(X.shape[1])] + ["label"]) + "\n")
+        for row, label in zip(X, y):
+            fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
+
+
 def knn_oracle(train_X, train_y, k, x):
     """Predict one point by exhaustive search mirroring the documented rules:
     distance ties keep the lowest training index, vote ties go to class 0."""

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdilab import (
     AttackConfig,
@@ -23,7 +24,7 @@ from fdilab import (
 )
 from fdilab.attack import batch_residuals
 
-from oracles import random_connected_system
+from oracles import generate_dataset_oracle, random_connected_system, save_dataset_oracle
 
 
 SIGMA = 0.01
@@ -185,7 +186,48 @@ class TestGenerateDataset:
             assert batched[i] == pytest.approx(single, rel=1e-9)
 
 
+class TestGenerateMatchesOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.booleans(), st.integers(2, 40),
+           st.sampled_from([0.0, SIGMA, 0.1]), st.sampled_from([0.0, 0.5, 1.0]),
+           st.booleans())
+    def test_bulk_generation_equals_per_sample_oracle(self, seed, ieee14, n, sigma,
+                                                      ratio, keep_clean):
+        sys = load_builtin("ieee14") if ieee14 else random_connected_system(
+            np.random.default_rng(seed))
+        args = (sys, n, ratio, NoiseModel(sigma), 0.1, None, seed)
+        ds = generate_dataset(*args, keep_clean=keep_clean)
+        X, y, clean = generate_dataset_oracle(*args, keep_clean=True)
+        assert np.array_equal(ds.y, y)
+        tol = dict(rtol=1e-12, atol=1e-12 * max(1.0, float(np.abs(X).max())))
+        np.testing.assert_allclose(ds.X, X, **tol)
+        if not keep_clean:
+            assert ds.clean_X is None
+            return
+        np.testing.assert_allclose(ds.clean_X, clean, **tol)
+        # the attacks themselves are drawn and added exactly as the oracle does
+        assert np.array_equal(np.sign(ds.X - ds.clean_X), np.sign(X - clean))
+
+
 class TestDatasetIO:
+    def test_writer_bytes_equal_per_value_oracle(self, tmp_path):
+        rng = np.random.default_rng(19)
+        X = np.vstack([[-0.0, 5e-324, 1e16, 0.1, 1 / 3, -1e-5],
+                       rng.normal(0.0, 1.0, (20, 6)) * 10.0 ** rng.integers(-9, 18, (20, 6))])
+        y = np.arange(len(X)) % 2
+        save_dataset(Dataset(X=X, y=y), tmp_path / "ds.csv")
+        save_dataset_oracle(X, y, tmp_path / "oracle.csv")
+        assert (tmp_path / "ds.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        back = load_dataset(tmp_path / "ds.csv")
+        assert np.array_equal(back.X.view(np.int64), X.view(np.int64))  # -0.0 keeps its sign
+        assert np.array_equal(back.y, y)
+
+    def test_blank_line_reports_line(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text("f1,f2,label\n0.1,0.2,1\n\n0.3,0.4,0\n")
+        with pytest.raises(ValueError, match="line 3"):
+            load_dataset(p)
+
     def test_round_trip(self, tmp_path):
         sys = load_builtin("ieee14")
         ds = generate_dataset(sys, 25, 0.4, NoiseModel(SIGMA), 0.1, None, seed=17)
@@ -216,8 +258,10 @@ class TestDatasetIO:
 
     def test_ragged_row_reports_line(self, tmp_path):
         p = tmp_path / "bad.csv"
-        # a short row, a non-numeric feature, a non-integer label, a label outside {0, 1}
-        for bad_row in ("0.3,0", "0.3,abc,0", "0.3,0.4,yes", "0.3,0.4,2"):
+        # a short row, a non-numeric feature, a non-integer label, a label outside
+        # {0, 1}, a non-finite feature, a label written as a float
+        for bad_row in ("0.3,0", "0.3,abc,0", "0.3,0.4,yes", "0.3,0.4,2", "0.3,nan,0",
+                        "0.3,0.4,1.0"):
             p.write_text(f"f1,f2,label\n0.1,0.2,1\n{bad_row}\n")
             with pytest.raises(ValueError, match="line 3"):
                 load_dataset(p)

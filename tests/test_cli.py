@@ -245,6 +245,21 @@ class TestBenchmarkCmd:
         assert self._run_bench(out_dir) == 0
         assert "reusing cached rows" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("knn_k", 50, "knn_k = 50 exceeds the 40 training rows"),
+        ("wrapper_k", 50, "wrapper_k = 50 exceeds the 32 wrapper training rows"),
+        ("max_targets", 500, "max_targets = 500 exceeds the 13 states of ieee14"),
+    ])
+    def test_size_above_its_limit_is_config_error(self, tmp_path, capsys, key, value, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out_dir = tmp_path / "bench"
+        assert run(["benchmark", "--systems", "ieee14", "--fs", "none,ga",
+                    "--classifier", "knn", "--n-train", "40", "--n-test", "30",
+                    "--config", str(cfg), "--out-dir", str(out_dir)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()  # rejected before any work
+
     def test_unknown_system_is_config_error(self, tmp_path, capsys):
         assert run(["benchmark", "--systems", "ieee99", "--out-dir", str(tmp_path)]) == 1
         assert "no bundled case" in capsys.readouterr().err
