@@ -291,7 +291,7 @@ def export_results(results, path) -> Path:
 def load_results(path) -> list:
     path = Path(path)
     lines = path.read_text().splitlines()
-    if not lines or lines[0] != RESULTS_HEADER:
+    if len(lines) < 2 or lines[0] != RESULTS_HEADER:  # export_results writes a row at least
         raise ValueError(f"{path}: not a results CSV")
     out = []
     for line in lines[1:]:
@@ -310,21 +310,11 @@ def render_report(results) -> str:
     """
     if not results:
         raise ValueError("no results to report")
-    systems = []
-    for r in results:
-        if r.system not in systems:
-            systems.append(r.system)
-    classifiers = []
-    for r in results:
-        if r.classifier not in classifiers:
-            classifiers.append(r.classifier)
+    classifiers = dict.fromkeys(r.classifier for r in results)
     lines = []
-    for system in systems:
+    for system in dict.fromkeys(r.system for r in results):
         sys_rows = [r for r in results if r.system == system]
-        fs_order = []
-        for r in sys_rows:
-            if r.fs_method not in fs_order:
-                fs_order.append(r.fs_method)
+        fs_order = dict.fromkeys(r.fs_method for r in sys_rows)
         lines.append(f"=== {system} (seed {sys_rows[0].seed}) ===")
         header = f"{'FS':<8}{'features':>9}" + "".join(f"{c.upper():>10}" for c in classifiers)
         lines.append(header)

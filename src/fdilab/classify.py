@@ -261,13 +261,27 @@ KNN_WORK_BYTES = 1 << 20  # working set of one knn_votes chunk
 def knn_votes(Q, B, train_y, k: int, masks) -> np.ndarray:
     """KNN labels of the query rows Q under each feature mask, shape (P, n_q).
 
-    The squared distance of a pair under a mask is the sum of its selected
-    squared coordinate differences, computed for all masks at once as a
-    matrix product over U, the union of the selected columns. Query rows are
-    taken in chunks whose difference and distance buffers fill about
-    KNN_WORK_BYTES (at least one row), allocated once and reused. The k
-    nearest are found with a partition: rows with a distance tie at the k-th
-    place keep the lowest training indices, and split votes go to class 0.
+    Rows with a distance tie at the k-th place keep the lowest training
+    indices, and split votes go to class 0.
+
+    Training rows b are ranked for a query q by g = |b|_w^2 - 2<q, b>_w, the
+    squared distance under the 0/1 mask w less the constant |q|_w^2. For a
+    chunk of query rows, g of every mask is one matrix product over U, the
+    union of the selected columns, plus |b|_w^2; chunks are sized so that g
+    and its partition copy fill about KNN_WORK_BYTES (at least one row).
+
+    A (mask, query) pair is certified when the gap between the (k+1)-th and
+    k-th smallest g exceeds 16 gamma M, with gamma = nu / (1 - nu),
+    nu = (|U| + 3) 2^-53 and M = |q|_w^2 + max_b |b|_w^2. The computed g is
+    within 3 gamma M of the exact g, and the distance d = sum w (q - b)^2
+    <= 2M that _knn_votes_direct computes is within 2 gamma M of the exact d
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1).
+    So on a certified pair the direct distances of the k rows below the gap
+    stay under all others by at least the gap less 10 gamma M and the
+    rounding of the gap and of M: the direct kernel takes the same k rows,
+    with no tie at the k-th place, and gives the same label. Query rows with
+    an uncertified pair (exact ties, near-duplicate training rows) are
+    recomputed by _knn_votes_direct, so the tie rules hold exactly.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     B = np.asarray(B, dtype=float)
@@ -278,6 +292,49 @@ def knn_votes(Q, B, train_y, k: int, masks) -> np.ndarray:
         raise ValueError("k must be at least 1")
     if k > n_b:
         raise ValueError(f"k={k} exceeds training size {n_b}")
+    P, n_q = masks.shape[0], Q.shape[0]
+    if k == n_b:
+        return np.full((P, n_q), 2 * np.count_nonzero(ones) > k, dtype=np.int64)
+    U = np.flatnonzero(masks.any(axis=0))
+    W = masks[:, U].astype(float)
+    # training rows of class 1 go first, so the votes are counted in a prefix
+    n_ones = np.count_nonzero(ones)
+    BuT = np.ascontiguousarray(B[np.argsort(~ones, kind="stable")][:, U].T)
+    Qu = Q[:, U]
+    bn = W @ (BuT * BuT)
+    nu = (len(U) + 3) * np.finfo(float).eps / 2
+    margin = 16 * nu / (1 - nu) * (np.square(Qu) @ W.T + bn.max(axis=1))
+    rows = max(1, min(n_q, KNN_WORK_BYTES // (16 * P * n_b)))
+    g = np.empty((rows, P, n_b))
+    out = np.empty((P, n_q), dtype=np.int64)
+    redo = []
+    for start in range(0, n_q, rows):
+        r = min(rows, n_q - start)
+        gc = g[:r]
+        np.matmul((Qu[start:start + r, None, :] * (-2.0 * W)).reshape(r * P, -1), BuT,
+                  out=gc.reshape(r * P, n_b))
+        gc += bn
+        part = np.partition(gc, k, axis=-1)
+        kth = part[..., :k].max(axis=-1)
+        sure = part[..., k] - kth > margin[start:start + r]
+        votes = np.count_nonzero(gc[..., :n_ones] <= kth[..., None], axis=-1)
+        out[:, start:start + r] = (2 * votes > k).T
+        redo.extend(start + np.flatnonzero(~sure.all(axis=1)))
+    if redo:
+        out[:, redo] = _knn_votes_direct(Q[redo], B, train_y, k, masks)
+    return out
+
+
+def _knn_votes_direct(Q, B, train_y, k: int, masks) -> np.ndarray:
+    """knn_votes from the masked sums of squared coordinate differences, for
+    2-D float Q and B and 2-D bool masks as knn_votes checks them.
+
+    The (query, column, train) difference block over U is squared and
+    multiplied by the 0/1 masks, in query chunks whose difference and
+    distance buffers fill about KNN_WORK_BYTES.
+    """
+    ones = np.asarray(train_y) == 1
+    n_b = B.shape[0]
     U = np.flatnonzero(masks.any(axis=0))
     W = masks[:, U].astype(float)
     Qu, BuT = Q[:, U, None], np.ascontiguousarray(B[:, U].T)

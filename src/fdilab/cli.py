@@ -220,8 +220,13 @@ def cmd_gridsearch(args) -> int:
     # code computed are never served
     code = _code_fingerprint()
     cache_path = out / "gridsearch_cache.json"
-    stored = json.loads(cache_path.read_text()) if cache_path.exists() else {}
-    cache = stored.get(code, {})
+    cache = {}
+    if cache_path.exists():
+        try:
+            stored = json.loads(cache_path.read_text()).get(code, {})
+            cache = {key: float(acc) for key, acc in stored.items()}
+        except (ValueError, TypeError, AttributeError) as exc:
+            _ignore_corrupt_cache(cache_path, exc)
     for kind in kinds:
         spec = bench.GridSearchSpec(classifier=kind, grid=bench.default_grid(kind),
                                     holdout=cfg["holdout"], seed=cfg["seed"],
@@ -292,10 +297,15 @@ def cmd_benchmark(args) -> int:
     key_lines.append(f"code = {_code_fingerprint()}")
     spec_hash = hashlib.sha256("\n".join(key_lines).encode()).hexdigest()[:16]
     cache_path = out / f"rows_{spec_hash}.csv"
+    results = None
     if cache_path.exists():
-        results = bench.load_results(cache_path)
-        print(f"(reusing cached rows {cache_path})")
-    else:
+        try:
+            results = bench.load_results(cache_path)
+        except ValueError as exc:
+            _ignore_corrupt_cache(cache_path, exc)
+        else:
+            print(f"(reusing cached rows {cache_path})")
+    if results is None:
         fs_log = {}
         results = bench.run_matrix(spec, fs_log=fs_log)
         for (system, method), (fs_res, seconds) in sorted(fs_log.items()):
@@ -319,6 +329,13 @@ def cmd_report(args) -> int:
     results = bench.load_results(Path(args.results))
     print(bench.render_report(results), end="")
     return 0
+
+
+def _ignore_corrupt_cache(path: Path, exc: Exception) -> None:
+    """Warn that a cache fdilab derived itself is unreadable; the caller
+    recomputes it and overwrites the file."""
+    print(f"fdilab: warning: ignoring corrupt cache {path} ({type(exc).__name__}: {exc})",
+          file=_sys.stderr)
 
 
 def _code_fingerprint() -> str:

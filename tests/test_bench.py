@@ -27,7 +27,7 @@ from fdilab import (
     train_model,
 )
 from fdilab.attack import batch_residuals
-from fdilab.bench import _experiment_datasets, dataset_fingerprint, subseed
+from fdilab.bench import RESULTS_HEADER, _experiment_datasets, dataset_fingerprint, subseed
 from fdilab.classify import AnnConfig, SvmConfig
 from fdilab.featsel import GaParams
 
@@ -275,6 +275,9 @@ class TestResultsIO:
     def test_load_rejects_foreign_csv(self, tmp_path):
         p = tmp_path / "other.csv"
         p.write_text("a,b\n1,2\n")
+        with pytest.raises(ValueError, match="not a results CSV"):
+            load_results(p)
+        p.write_text(RESULTS_HEADER + "\n")  # a header with no rows
         with pytest.raises(ValueError, match="not a results CSV"):
             load_results(p)
 

@@ -272,7 +272,7 @@ class TestKnn:
 
     @pytest.mark.parametrize("work_bytes", [1, 3 * 8 * 25 * 9, 1 << 20])
     def test_votes_per_mask_equal_column_slices(self, monkeypatch, work_bytes):
-        # chunks of 1 and 3 query rows (the last one partial) and a single chunk
+        # Gram chunks of 1 and 4 query rows (the last one partial) and a single chunk
         monkeypatch.setattr(classify, "KNN_WORK_BYTES", work_bytes)
         rng = np.random.default_rng(23)
         train_X = rng.integers(0, 3, (25, 6)).astype(float)
@@ -285,6 +285,75 @@ class TestKnn:
         for mask, row in zip(masks, got):
             want = [knn_oracle(train_X[:, mask], train_y, 7, q) for q in queries[:, mask]]
             assert row.tolist() == want
+
+    @staticmethod
+    def _case(kind, seed, n_b, n_f, n_q):
+        """Training and query rows of one tie regime."""
+        rng = np.random.default_rng(seed)
+        if kind in ("grid", "scaled grid"):
+            B = rng.integers(0, 3, (n_b, n_f)).astype(float)
+            Q = rng.integers(0, 3, (n_q, n_f)).astype(float)
+            if kind == "scaled grid":  # exact ties become rounding-level near ties
+                stats = standardize_fit(B)
+                B, Q = standardize_apply(stats, B), standardize_apply(stats, Q)
+            return B, Q
+        Q = rng.normal(size=(n_q, n_f))
+        if kind == "continuous":
+            return rng.normal(size=(n_b, n_f)), Q
+        # a few base rows, each repeated: the k-th place falls inside a group
+        B = rng.normal(size=(3, n_f))[rng.integers(0, 3, n_b)]
+        if kind == "near duplicates":  # copies a few ulps apart
+            B = B + B * rng.integers(-3, 4, B.shape) * 2.0 ** -52
+        return B, Q
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(["continuous", "grid", "scaled grid", "duplicates",
+                                 "near duplicates"]),
+           seed=st.integers(0, 2**32 - 1), k=st.integers(1, 25), extra=st.integers(0, 15),
+           n_f=st.integers(1, 5), n_q=st.integers(1, 7), n_masks=st.integers(1, 3),
+           work_bytes=st.sampled_from([1, 3000, classify.KNN_WORK_BYTES]))
+    def test_gram_ranking_equals_direct_kernel_and_oracle(self, kind, seed, k, extra, n_f,
+                                                          n_q, n_masks, work_bytes):
+        n_b = k + extra
+        B, Q = self._case(kind, seed, n_b, n_f, n_q)
+        rng = np.random.default_rng(seed + 1)
+        y = rng.integers(0, 2, n_b)
+        masks = rng.random((n_masks, n_f)) < 0.6
+        masks[np.arange(n_masks), rng.integers(0, n_f, n_masks)] = True
+        calls = []
+        direct = classify._knn_votes_direct
+
+        def counted(Qr, *args):
+            calls.append(len(Qr))
+            return direct(Qr, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classify, "KNN_WORK_BYTES", work_bytes)
+            mp.setattr(classify, "_knn_votes_direct", counted)
+            got = knn_votes(Q, B, y, k, masks)
+            want = direct(Q, B, y, k, masks)
+        assert got.tolist() == want.tolist()
+        for mask, row in zip(masks, got):
+            assert row.tolist() == [knn_oracle(B[:, mask], y, k, q) for q in Q[:, mask]]
+        if kind == "continuous" or k == n_b:
+            assert calls == []
+
+    @pytest.mark.parametrize("kind", ["grid", "scaled grid", "duplicates", "near duplicates"])
+    def test_ties_fall_back_to_direct_kernel(self, monkeypatch, kind):
+        B, Q = self._case(kind, 24, 30, 2, 10)
+        y = np.random.default_rng(25).integers(0, 2, 30)
+        calls = []
+        direct = classify._knn_votes_direct
+
+        def counted(Qr, *args):
+            calls.append(len(Qr))
+            return direct(Qr, *args)
+
+        monkeypatch.setattr(classify, "_knn_votes_direct", counted)
+        masks = np.array([[True, True], [True, False]])
+        got = knn_votes(Q, B, y, 5, masks)
+        assert calls and sum(calls) <= len(Q)
+        assert got.tolist() == direct(Q, B, y, 5, masks).tolist()
 
     def test_knn_model_roundtrip_predicts_training_data(self):
         X, y = blobs(seed=6)

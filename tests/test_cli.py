@@ -1,10 +1,17 @@
 """Command-line interface: exit codes, subcommand behavior, config layering,
 and byte-identical benchmark reruns."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fdilab import cli, load_dataset
+from fdilab.bench import RESULTS_HEADER, load_results
 from fdilab.cli import CONFIG_KEYS, ConfigError, _read_config_file, main
 
 
@@ -39,6 +46,17 @@ class TestExitCodes:
                     "--out", str(tmp_path / "d.csv"), "--out-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "30 samples" in out and "34 features" in out
+
+    def test_module_entry_point(self, tmp_path):
+        # `python -m fdilab` from a checkout, with only src/ on the path
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "fdilab", "generate", "--case", "ieee14",
+                               "--n", "20", "--seed", "1", "--out", str(tmp_path / "d.csv"),
+                               "--out-dir", str(tmp_path)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "20 samples" in proc.stdout
+        assert load_dataset(tmp_path / "d.csv").n_samples == 20
 
 
 class TestGenerate:
@@ -128,6 +146,28 @@ class TestGridsearchCmd:
         monkeypatch.setattr(cli, "_code_fingerprint", lambda: "other code")
         assert run(argv) == 0
         assert "(0 of 20 cells from cache)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ['{"truncated": ', None],
+                             ids=["not JSON", "entry not a mapping"])
+    def test_corrupt_cache_is_recomputed(self, tmp_path, capsys, text):
+        ds_path = tmp_path / "ds.csv"
+        assert run(["generate", "--case", "ieee14", "--n", "120", "--seed", "5",
+                    "--out", str(ds_path), "--out-dir", str(tmp_path)]) == 0
+        argv = ["gridsearch", "--dataset", str(ds_path), "--classifier", "knn",
+                "--out-dir", str(tmp_path / "gs")]
+        assert run(argv) == 0
+        first = (tmp_path / "gs" / "grid_knn.csv").read_bytes()
+        capsys.readouterr()
+        cache_path = tmp_path / "gs" / "gridsearch_cache.json"
+        cache_path.write_text(text or json.dumps({cli._code_fingerprint(): [0.5]}))
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert "(0 of 20 cells from cache)" in captured.out
+        assert captured.err.count("\n") == 1
+        assert "warning: ignoring corrupt cache" in captured.err
+        assert (tmp_path / "gs" / "grid_knn.csv").read_bytes() == first
+        assert run(argv) == 0
+        assert "20 of 20 cells from cache" in capsys.readouterr().out
 
     def test_missing_dataset_is_config_error(self, tmp_path):
         assert run(["gridsearch", "--dataset", str(tmp_path / "no.csv"),
@@ -244,6 +284,26 @@ class TestBenchmarkCmd:
         monkeypatch.setattr(cli, "_code_fingerprint", lambda: "other code")
         assert self._run_bench(out_dir) == 0
         assert "reusing cached rows" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["system,fs\nnot,a,row\n", RESULTS_HEADER + "\n"],
+                             ids=["foreign", "no rows"])
+    def test_corrupt_cached_rows_are_recomputed(self, tmp_path, capsys, text):
+        out_dir = tmp_path / "bench"
+        assert self._run_bench(out_dir) == 0
+        first = load_results(out_dir / "results.csv")
+        (rows_path,) = out_dir.glob("rows_*.csv")
+        rows_path.write_text(text)
+        capsys.readouterr()
+        assert self._run_bench(out_dir) == 0
+        captured = capsys.readouterr()
+        assert "reusing cached rows" not in captured.out
+        assert captured.err.count("\n") == 1
+        assert "warning: ignoring corrupt cache" in captured.err
+        again = load_results(rows_path)
+        assert [(r.fs_method, r.accuracy) for r in again] == \
+            [(r.fs_method, r.accuracy) for r in first]
+        assert self._run_bench(out_dir) == 0
+        assert "reusing cached rows" in capsys.readouterr().out
 
     @pytest.mark.parametrize("key, value, message", [
         ("knn_k", 50, "knn_k = 50 exceeds the 40 training rows"),
