@@ -62,7 +62,6 @@ from .powergrid import (
     NoiseModel,
     bad_data_test,
     build_jacobian,
-    builtin_case_path,
     load_builtin,
     load_case,
     measure,
@@ -70,7 +69,6 @@ from .powergrid import (
     resolve_case,
     solve_dc_state,
     wls_estimate,
-    wls_estimate_iterative,
 )
 
 __version__ = "0.1.0"
@@ -88,8 +86,7 @@ __all__ = [
     "bpso_search", "export_fs_result", "fitness", "fitness_batch", "ga_search",
     "make_fitness_context", "run_search",
     "BusSystem", "DcJacobian", "NoiseModel", "bad_data_test",
-    "build_jacobian", "builtin_case_path", "load_builtin", "load_case",
-    "measure", "residual_norm", "resolve_case", "solve_dc_state", "wls_estimate",
-    "wls_estimate_iterative",
+    "build_jacobian", "load_builtin", "load_case", "measure", "residual_norm",
+    "resolve_case", "solve_dc_state", "wls_estimate",
     "__version__",
 ]

@@ -148,21 +148,21 @@ def generate_dataset(sys: BusSystem, n: int, attack_ratio: float, noise: NoiseMo
 
     P = np.empty((n, sys.n_buses))
     E = np.empty((n, m)) if noise.sigma > 0 else None
-    attacks = []                       # c of each attacked row, in row order
+    attacks = []                       # a = H c of each attacked row, in row order
     for i in range(n):
         rng = np.random.default_rng(children[i + 1])
         P[i] = base * rng.uniform(1.0 - load_var, 1.0 + load_var, size=sys.n_buses)
         if E is not None:
             E[i] = rng.normal(0.0, noise.sigma, m)
         if attacked[i]:
-            attacks.append(craft_attack(jac, cfg, rng).c)
+            attacks.append(craft_attack(jac, cfg, rng).a)
     S = solve_dc_state(sys, jac, P)
     X = np.matmul(jac.matrix, S[:, :, None])[:, :, 0]   # row i is H @ S[i], bit for bit
     if E is not None:
         X += E
     clean = X.copy() if keep_clean else None
-    for i, c in zip(np.flatnonzero(attacked), attacks):
-        X[i] += jac.matrix @ c             # the a = H c that craft_attack returned
+    for i, a in zip(np.flatnonzero(attacked), attacks):
+        X[i] += a
     meta = {
         "system": sys.name,
         "n": n,

@@ -163,6 +163,22 @@ class ExperimentSpec:
     val_fraction: float = 0.2
     threads: int = 1
 
+    def __post_init__(self):
+        if min(self.n_train, self.n_test) < 2:
+            raise ValueError("n_train and n_test must be at least 2")
+        if not 0 <= self.attack_ratio <= 1:
+            raise ValueError("attack_ratio must be in [0, 1]")
+        if not 0 <= self.load_var < 1:
+            raise ValueError("load_var must be in [0, 1)")
+        if not self.noise_sigma >= 0:
+            raise ValueError("noise_sigma must be non-negative")
+        if self.max_targets < 0:
+            raise ValueError("max_targets must be non-negative")
+        if not 0 < self.magnitude_low <= self.magnitude_high:
+            raise ValueError("need 0 < magnitude_low <= magnitude_high")
+        if not 0 < self.val_fraction < 1:
+            raise ValueError("val_fraction must be in (0, 1)")
+
     def classifier_config(self, kind: str):
         return {"svm": self.svm, "knn": self.knn, "ann": self.ann}[kind]
 
@@ -185,13 +201,14 @@ class ExperimentResult:
 def check_spec(spec: ExperimentSpec, systems) -> None:
     """Raise ValueError, naming the config key, for sizes run_matrix would
     reject part-way through: knn_k above the training rows, wrapper_k above
-    the wrapper training rows, max_targets above a system's state count."""
+    the wrapper training rows when a search runs, max_targets above a
+    system's state count."""
     if "knn" in spec.classifiers and spec.knn.k > spec.n_train:
         raise ValueError(f"knn_k = {spec.knn.k} exceeds the {spec.n_train} training rows")
     n_attacked = math.floor(spec.n_train * spec.attack_ratio)
     wrapper_rows = spec.n_train - sum(classify.holdout_size(size, spec.val_fraction)
                                       for size in (n_attacked, spec.n_train - n_attacked) if size)
-    if spec.wrapper_k > wrapper_rows:
+    if set(spec.fs_methods) - {"none"} and spec.wrapper_k > wrapper_rows:
         raise ValueError(f"wrapper_k = {spec.wrapper_k} exceeds the {wrapper_rows} "
                          "wrapper training rows")
     for sys in systems:
@@ -217,16 +234,19 @@ def _fs_job(spec: ExperimentSpec, system: str):
     train, test = _experiment_datasets(spec, sys)
     out_rows = {}
     fs_runs = {}
-    ctx = featsel.make_fitness_context(
-        train.X, train.y, classifier="knn", config=KnnConfig(k=spec.wrapper_k),
-        val_fraction=spec.val_fraction, seed=subseed(spec.seed, system, "wrapper-split"),
-        standardize=spec.standardize)
+    ctx = None
     for fs in spec.fs_methods:
         if fs == "none":
             mask = np.ones(train.n_features, dtype=bool)
         else:
-            # the mask cache in ctx is shared across methods on purpose:
-            # fitness is a pure function of the mask, so this only saves refits
+            # one context, built for the first search: its mask cache is shared
+            # across methods on purpose, as fitness is a pure function of the mask
+            if ctx is None:
+                ctx = featsel.make_fitness_context(
+                    train.X, train.y, classifier="knn", config=KnnConfig(k=spec.wrapper_k),
+                    val_fraction=spec.val_fraction,
+                    seed=subseed(spec.seed, system, "wrapper-split"),
+                    standardize=spec.standardize)
             t0 = time.perf_counter()
             fs_res = featsel.run_search(fs, ctx, spec.fs_params(fs),
                                         subseed(spec.seed, system, fs, "search"))
@@ -294,12 +314,18 @@ def load_results(path) -> list:
     if len(lines) < 2 or lines[0] != RESULTS_HEADER:  # export_results writes a row at least
         raise ValueError(f"{path}: not a results CSV")
     out = []
-    for line in lines[1:]:
-        sysname, fs, kind, nf, acc, wall, seed, converged = line.split(",")
-        out.append(ExperimentResult(system=sysname, fs_method=fs, classifier=kind,
-                                    n_features=int(nf), accuracy=float(acc),
-                                    wall_time_s=float(wall), seed=int(seed),
-                                    converged=converged == "1"))
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        try:
+            if len(fields) != 8:
+                raise ValueError("expected 8 fields")
+            sysname, fs, kind, nf, acc, wall, seed, converged = fields
+            out.append(ExperimentResult(system=sysname, fs_method=fs, classifier=kind,
+                                        n_features=int(nf), accuracy=float(acc),
+                                        wall_time_s=float(wall), seed=int(seed),
+                                        converged=converged == "1"))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
     return out
 
 

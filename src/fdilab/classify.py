@@ -140,16 +140,6 @@ class TrainedModel:
 
 # -------------------------------------------------------------------- kernel
 
-def kernel_gaussian(x1, x2, gamma: float) -> float:
-    """exp(-gamma * ||x1 - x2||^2) for two feature vectors."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x1.shape != x2.shape:
-        raise ValueError("length mismatch")
-    d = x1 - x2
-    return float(np.exp(-gamma * (d @ d)))
-
-
 def _gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     """Gaussian kernel matrix between rows of A and rows of B."""
     sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
@@ -365,22 +355,6 @@ def _knn_votes_direct(Q, B, train_y, k: int, masks) -> np.ndarray:
     return out
 
 
-def knn_predict(train_X, train_y, cfg: KnnConfig, X) -> np.ndarray:
-    """Majority label of the k nearest training rows (Euclidean distance).
-
-    Distance ties keep the lower training index; split votes go to class 0.
-    Accepts a single feature vector or a batch of rows.
-    """
-    train_X = np.asarray(train_X, dtype=float)
-    train_y = np.asarray(train_y)
-    if train_X.shape[0] == 0:
-        raise ValueError("empty training set")
-    single = np.asarray(X).ndim == 1
-    all_columns = np.ones((1, train_X.shape[1]), dtype=bool)
-    pred = knn_votes(X, train_X, train_y, cfg.k, all_columns)[0]
-    return pred[0] if single else pred
-
-
 # ----------------------------------------------------------------------- ANN
 
 def ann_hidden_size(L: int, N: int = 2) -> int:
@@ -419,25 +393,20 @@ def ann_init(L: int, N: int, seed: int) -> dict:
     }
 
 
-def _ann_scores(params: dict, X: np.ndarray) -> np.ndarray:
+def _ann_layers(params: dict, X: np.ndarray):
+    """Hidden activations A1, output sigmoids S and softmax scores P of rows X."""
     A1 = _sigmoid(X @ params["W1"].T - params["th1"])
     S = _sigmoid(A1 @ params["W2"].T - params["th2"])
-    return _softmax(S)
+    return A1, S, _softmax(S)
 
 
-def ann_forward(model_or_params, X) -> np.ndarray:
+def ann_forward(params: dict, X) -> np.ndarray:
     """Class scores: sigmoid hidden layer, sigmoid output nodes, softmax."""
-    params = model_or_params.params if isinstance(model_or_params, TrainedModel) else model_or_params
     X = np.asarray(X, dtype=float)
-    single = X.ndim == 1
-    if isinstance(model_or_params, TrainedModel):
-        Xp = _prepare(model_or_params, X)
-    else:
-        Xp = np.atleast_2d(X)
-    if Xp.shape[1] != params["W1"].shape[1]:
+    if X.shape[-1] != params["W1"].shape[1]:
         raise ValueError("feature count does not match the input layer")
-    P = _ann_scores(params, Xp)
-    return P[0] if single else P
+    P = _ann_layers(params, np.atleast_2d(X))[2]
+    return P[0] if X.ndim == 1 else P
 
 
 def ann_loss_grads(params: dict, X: np.ndarray, Y: np.ndarray):
@@ -447,9 +416,7 @@ def ann_loss_grads(params: dict, X: np.ndarray, Y: np.ndarray):
     like params.
     """
     B = X.shape[0]
-    A1 = _sigmoid(X @ params["W1"].T - params["th1"])
-    S = _sigmoid(A1 @ params["W2"].T - params["th2"])
-    P = _softmax(S)
+    A1, S, P = _ann_layers(params, X)
     loss = float(-(Y * np.log(P)).sum() / B)
     dS = (P - Y) / B                     # softmax + cross-entropy pair
     dZ2 = dS * S * (1.0 - S)             # through the output sigmoid
@@ -479,7 +446,7 @@ def _ann_fit(X: np.ndarray, y: np.ndarray, cfg: AnnConfig):
             if not math.isfinite(loss):
                 raise ValueError(f"non-finite training loss at epoch {epoch}")
             for key in params:
-                params[key] = params[key] - cfg.alpha * grads[key]
+                params[key] -= cfg.alpha * grads[key]
     return params, True
 
 
@@ -541,7 +508,7 @@ def predict(model: TrainedModel, X) -> np.ndarray:
         pred = knn_votes(_prepare(model, X), p["X"], p["y"], p["k"],
                          np.ones((1, p["X"].shape[1]), dtype=bool))[0]
     elif model.kind == "ann":
-        P = _ann_scores(model.params, _prepare(model, X))
+        P = ann_forward(model.params, _prepare(model, X))
         pred = (P[:, 1] > P[:, 0]).astype(np.int64)
     else:
         raise ValueError(f"unknown classifier kind {model.kind!r}")

@@ -123,7 +123,10 @@ def _resolve(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             caster, _default = CONFIG_KEYS[key]
-            cfg[key] = caster(val) if isinstance(val, str) else val
+            try:
+                cfg[key] = caster(val) if isinstance(val, str) else val
+            except ValueError as exc:
+                raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from None
     if cfg["threads"] < 1:
         raise ConfigError(f"threads must be a positive integer, got {cfg['threads']}")
     return cfg
@@ -212,8 +215,14 @@ def cmd_generate(args) -> int:
 
 def cmd_gridsearch(args) -> int:
     cfg = _resolve(args)
-    kinds = cfg["classifier"]
     _validate_choices(cfg)
+    try:
+        specs = [bench.GridSearchSpec(classifier=kind, grid=bench.default_grid(kind),
+                                      holdout=cfg["holdout"], seed=cfg["seed"],
+                                      standardize=cfg["standardize"])
+                 for kind in cfg["classifier"]]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     ds = _load_dataset_arg(args)
     out = _out_dir(cfg)
     # cells are filed under the code fingerprint, so accuracies that other
@@ -227,10 +236,7 @@ def cmd_gridsearch(args) -> int:
             cache = {key: float(acc) for key, acc in stored.items()}
         except (ValueError, TypeError, AttributeError) as exc:
             _ignore_corrupt_cache(cache_path, exc)
-    for kind in kinds:
-        spec = bench.GridSearchSpec(classifier=kind, grid=bench.default_grid(kind),
-                                    holdout=cfg["holdout"], seed=cfg["seed"],
-                                    standardize=cfg["standardize"])
+    for kind, spec in zip(cfg["classifier"], specs):
         res = bench.grid_search(ds.X, ds.y, spec, cache=cache)
         grid_csv = out / f"grid_{kind}.csv"
         with grid_csv.open("w", newline="") as fh:

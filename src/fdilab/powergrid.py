@@ -132,16 +132,12 @@ def load_case(path) -> BusSystem:
     return BusSystem(name=path.stem, buses=tuple(buses), branches=tuple(branches))
 
 
-def builtin_case_path(name: str) -> Path:
-    """Path of a bundled case file ("ieee14", "ieee57" or "ieee118")."""
-    p = Path(__file__).parent / "cases" / f"{name}.csv"
-    if not p.exists():
-        raise FileNotFoundError(f"no bundled case named {name!r}")
-    return p
-
-
 def load_builtin(name: str) -> BusSystem:
-    return load_case(builtin_case_path(name))
+    """Load a bundled case ("ieee14", "ieee57" or "ieee118")."""
+    path = Path(__file__).parent / "cases" / f"{name}.csv"
+    if not path.exists():
+        raise FileNotFoundError(f"no bundled case named {name!r}")
+    return load_case(path)
 
 
 def resolve_case(name: str) -> BusSystem:
@@ -180,14 +176,15 @@ def build_jacobian(sys: BusSystem) -> DcJacobian:
     """Build H for the DC model.
 
     Flow on branch (i, j) is (theta_i - theta_j) / x_ij; injection at bus i is
-    the sum of flows out of i over incident branches.
+    the sum of flows out of i over incident branches, so each flow row is added
+    to the injection row of its from-bus and subtracted from that of its to-bus.
     """
     n = sys.n_buses
     ref = sys.reference_bus
     state_buses = tuple(b for b in range(1, n + 1) if b != ref)
     col = {b: j for j, b in enumerate(state_buses)}
-    m = sys.n_branches + n
-    H = np.zeros((m, n - 1))
+    inj = sys.n_branches - 1       # row of bus i's injection is inj + i
+    H = np.zeros((sys.n_branches + n, n - 1))
     labels = []
     for k, (f, t, x) in enumerate(sys.branches):
         b = 1.0 / x
@@ -195,19 +192,10 @@ def build_jacobian(sys: BusSystem) -> DcJacobian:
             H[k, col[f]] += b
         if t != ref:
             H[k, col[t]] -= b
+        H[inj + f] += H[k]
+        H[inj + t] -= H[k]
         labels.append(f"flow{k}:{f}-{t}")
-    for i, bus_idx in enumerate(range(1, n + 1)):
-        r = sys.n_branches + i
-        for f, t, x in sys.branches:
-            if bus_idx not in (f, t):
-                continue
-            b = 1.0 / x
-            sign = 1.0 if f == bus_idx else -1.0
-            if f != ref:
-                H[r, col[f]] += sign * b
-            if t != ref:
-                H[r, col[t]] -= sign * b
-        labels.append(f"inj:{bus_idx}")
+    labels += [f"inj:{bus}" for bus in range(1, n + 1)]
     jac = DcJacobian(matrix=H, row_labels=tuple(labels), state_buses=state_buses)
     if np.linalg.matrix_rank(H) != n - 1:
         raise ValueError("Jacobian is rank deficient; system not observable")
@@ -227,9 +215,6 @@ class NoiseModel:
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
-
-    def covariance_diag(self, m: int) -> np.ndarray:
-        return np.full(m, self.sigma ** 2)
 
 
 def measure(H: DcJacobian, x: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
@@ -262,48 +247,22 @@ def _weights(w, m: int) -> np.ndarray:
     return out
 
 
-def _gain(H: DcJacobian, variance):
-    """Weighted Jacobian Hw = W^-1 H and gain matrix G = H^T W^-1 H."""
-    wi = _weights(variance, H.n_measurements)
-    Hw = H.matrix * wi[:, None]
-    return Hw, H.matrix.T @ Hw
-
-
 def wls_estimate(H: DcJacobian, variance, z: np.ndarray) -> np.ndarray:
     """Weighted least-squares state estimate x_hat = G^-1 H^T W^-1 z.
 
     variance is the diagonal of W (scalar = uniform); z is one measurement
-    vector (m,) or a block (m, k) of them. Solves the normal equations
-    directly; see wls_estimate_iterative for the fixed-point form.
+    vector (m,) or a block (m, k) of them. The model is linear, so the normal
+    equations with gain G = H^T W^-1 H are solved directly, in one step.
     """
     z = np.asarray(z, dtype=float)
     m = H.n_measurements
     if z.ndim not in (1, 2) or z.shape[0] != m:
         raise ValueError(f"measurement length {z.shape} does not match {m} rows")
-    Hw, G = _gain(H, variance)
+    Hw = H.matrix * _weights(variance, m)[:, None]      # W^-1 H
     try:
-        return np.linalg.solve(G, Hw.T @ z)
+        return np.linalg.solve(H.matrix.T @ Hw, Hw.T @ z)
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular gain matrix") from exc
-
-
-def wls_estimate_iterative(H: DcJacobian, variance, z: np.ndarray,
-                           x0: np.ndarray | None = None,
-                           tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
-    """Fixed-point iteration x <- x + G^-1 H^T W^-1 (z - H x).
-
-    For the linear DC model this lands on the WLS solution in one step from
-    any start; iterating to tol guards against round-off.
-    """
-    z = np.asarray(z, dtype=float)
-    Hw, G = _gain(H, variance)
-    x = np.zeros(H.n_states) if x0 is None else np.asarray(x0, dtype=float).copy()
-    for _ in range(max_iter):
-        step = np.linalg.solve(G, Hw.T @ (z - H.matrix @ x))
-        x = x + step
-        if np.max(np.abs(step)) < tol:
-            break
-    return x
 
 
 def residual_norm(z: np.ndarray, H: DcJacobian, x_hat: np.ndarray) -> float:

@@ -75,6 +75,30 @@ def random_connected_system(rng, n_min=3, n_max=10):
     return BusSystem(name=f"rand{n}", buses=buses, branches=tuple(branches))
 
 
+def jacobian_oracle(sys):
+    """DC Jacobian rows the per-bus way: flows in branch order, then each bus's
+    injection summed over the branches incident to it, in branch order."""
+    ref = sys.reference_bus
+    col = {b: j for j, b in enumerate(b for b in range(1, sys.n_buses + 1) if b != ref)}
+    H = np.zeros((sys.n_branches + sys.n_buses, sys.n_buses - 1))
+    for k, (f, t, x) in enumerate(sys.branches):
+        if f != ref:
+            H[k, col[f]] += 1.0 / x
+        if t != ref:
+            H[k, col[t]] -= 1.0 / x
+    for bus in range(1, sys.n_buses + 1):
+        r = sys.n_branches + bus - 1
+        for f, t, x in sys.branches:
+            if bus not in (f, t):
+                continue
+            sign = 1.0 if f == bus else -1.0
+            if f != ref:
+                H[r, col[f]] += sign * (1.0 / x)
+            if t != ref:
+                H[r, col[t]] -= sign * (1.0 / x)
+    return H
+
+
 def generate_dataset_oracle(sys, n, attack_ratio, noise, load_var, cfg, seed,
                             keep_clean=False):
     """generate_dataset the per-sample way: for each sample draw its load
@@ -156,6 +180,13 @@ def knn_fitness_oracle(mask, X_train, y_train, X_val, y_val, k, standardize=True
     return float((pred == np.asarray(y_val)).mean())
 
 
+def kernel_gaussian(x1, x2, gamma):
+    """exp(-gamma * ||x1 - x2||^2) for two feature vectors, summed in a loop."""
+    if len(x1) != len(x2):
+        raise ValueError("length mismatch")
+    return math.exp(-gamma * sum((float(a) - float(b)) ** 2 for a, b in zip(x1, x2)))
+
+
 def svm_dual_objective(alpha, K, y_pm):
     """W(alpha) = sum(alpha) - 0.5 sum_ij alpha_i alpha_j y_i y_j K_ij, in loops."""
     n = len(alpha)
@@ -165,6 +196,26 @@ def svm_dual_objective(alpha, K, y_pm):
         for j in range(n):
             quad += alpha[i] * alpha[j] * y_pm[i] * y_pm[j] * K[i, j]
     return total - 0.5 * quad
+
+
+def duality_gap(alpha, K, y_pm, C):
+    """Primal minus dual objective P - D of an SVM dual point, in loops.
+
+    With g = K (alpha * y) and a'Qa = sum_i alpha_i y_i g_i, the primal value
+    at the best bias is P = 1/2 a'Qa + C min_b sum_i max(0, 1 - y_i (g_i + b)).
+    The hinge sum is convex and piecewise linear in b, so its minimum is at
+    one of the n breakpoints b = y_i - g_i. D = sum(alpha) - 1/2 a'Qa. For a
+    feasible alpha (0 <= alpha <= C, alpha . y = 0) weak duality gives
+    P - D >= D* - D(alpha) >= 0, so the gap bounds the distance of alpha's
+    dual objective from the optimum with no reference solver (Schoelkopf &
+    Smola, Learning with Kernels, 2002, ch. 7).
+    """
+    n = len(alpha)
+    g = [sum(alpha[j] * y_pm[j] * K[i, j] for j in range(n)) for i in range(n)]
+    quad = sum(alpha[i] * y_pm[i] * g[i] for i in range(n))
+    hinge = min(sum(max(0.0, 1.0 - y_pm[i] * (g[i] + b)) for i in range(n))
+                for b in [y_pm[j] - g[j] for j in range(n)])
+    return quad + C * hinge - sum(alpha)
 
 
 def svm_dual_oracle(K, y_pm, C, steps=3000):

@@ -26,10 +26,11 @@ from fdilab import (
     run_matrix,
     train_model,
 )
+from fdilab import featsel
 from fdilab.attack import batch_residuals
 from fdilab.bench import RESULTS_HEADER, _experiment_datasets, dataset_fingerprint, subseed
 from fdilab.classify import AnnConfig, SvmConfig
-from fdilab.featsel import GaParams
+from fdilab.featsel import BpsoParams, GaParams
 
 
 TRIANGLE_CSV = (
@@ -230,6 +231,21 @@ class TestRunMatrix:
         assert [(r.system, r.fs_method, r.accuracy, r.n_features) for r in serial] == \
                [(r.system, r.fs_method, r.accuracy, r.n_features) for r in threaded]
 
+    def test_one_wrapper_context_and_only_for_a_search(self, monkeypatch):
+        calls = []
+        make = featsel.make_fitness_context
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(featsel, "make_fitness_context", counted)
+        run_matrix(small_spec(fs_methods=("none",)))
+        assert calls == []
+        run_matrix(small_spec(fs_methods=("none", "ga", "bpso"),
+                              bpso=BpsoParams(population=4, iterations=2)))
+        assert len(calls) == 1
+
     def test_mask_shared_across_classifiers(self):
         spec = small_spec(classifiers=("knn", "ann"), ann=AnnConfig(epochs=10))
         rows = run_matrix(spec)
@@ -279,6 +295,13 @@ class TestResultsIO:
             load_results(p)
         p.write_text(RESULTS_HEADER + "\n")  # a header with no rows
         with pytest.raises(ValueError, match="not a results CSV"):
+            load_results(p)
+        row = "ieee14,none,knn,34,0.9,0.100,0,1"
+        p.write_text(f"{RESULTS_HEADER}\n{row}\nieee14,none,svm,34,0.9\n")  # a short row
+        with pytest.raises(ValueError, match=r"other\.csv line 3: expected 8 fields"):
+            load_results(p)
+        p.write_text(f"{RESULTS_HEADER}\n{row.replace('0.9', 'high')}\n")  # a bad number
+        with pytest.raises(ValueError, match=r"other\.csv line 2: could not convert"):
             load_results(p)
 
 

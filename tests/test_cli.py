@@ -320,12 +320,58 @@ class TestBenchmarkCmd:
         assert message in capsys.readouterr().err
         assert not out_dir.exists()  # rejected before any work
 
+    def test_fs_none_skips_the_wrapper(self, tmp_path, monkeypatch):
+        # no search runs, so neither the wrapper context nor its wrapper_k check applies
+        def no_context(*args, **kwargs):
+            raise AssertionError("wrapper context built without a search")
+
+        monkeypatch.setattr(cli.featsel, "make_fitness_context", no_context)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("wrapper_k = 50\n")
+        assert run(["benchmark", "--systems", "ieee14", "--fs", "none", "--classifier", "knn",
+                    "--n-train", "40", "--n-test", "30", "--config", str(cfg),
+                    "--out-dir", str(tmp_path / "bench")]) == 0
+
     def test_unknown_system_is_config_error(self, tmp_path, capsys):
         assert run(["benchmark", "--systems", "ieee99", "--out-dir", str(tmp_path)]) == 1
         assert "no bundled case" in capsys.readouterr().err
         missing = tmp_path / "x.csv"
         assert run(["benchmark", "--systems", str(missing), "--out-dir", str(tmp_path)]) == 1
         assert "case file not found" in capsys.readouterr().err
+
+
+class TestOutOfRange:
+    BENCH = ["benchmark", "--systems", "ieee14", "--fs", "none", "--classifier", "knn",
+             "--n-train", "40", "--n-test", "30"]
+
+    @pytest.mark.parametrize("argv, config, name", [
+        (["generate", "--case", "ieee14", "--n", "20", "--standardize", "maybe"], "",
+         "--standardize"),
+        (["gridsearch", "--holdout", "1.5"], "", "holdout"),
+        (BENCH + ["--attack-ratio", "2"], "", "attack_ratio"),
+        (BENCH + ["--noise-sigma", "-1"], "", "noise_sigma"),
+        (BENCH + ["--load-var", "1.5"], "", "load_var"),
+        (BENCH + ["--n-test", "1"], "", "n_test"),
+        (BENCH, "magnitude_low = 0.5\nmagnitude_high = 0.1\n", "magnitude_low"),
+        (BENCH, "val_fraction = 1.5\n", "val_fraction"),
+    ], ids=["standardize", "holdout", "attack_ratio", "noise_sigma", "load_var", "n_test",
+            "magnitudes", "val_fraction"])
+    def test_setting_is_config_error_before_any_work(self, tmp_path, capsys, argv, config,
+                                                     name):
+        argv = list(argv)
+        if argv[0] == "gridsearch":
+            data = tmp_path / "d.csv"
+            assert run(["generate", "--case", "ieee14", "--n", "40", "--out", str(data),
+                        "--out-dir", str(tmp_path / "gen")]) == 0
+            argv += ["--dataset", str(data)]
+        if config:
+            (tmp_path / "run.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        assert run(argv + ["--out-dir", str(out_dir)]) == 1
+        assert name in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestThreads:
