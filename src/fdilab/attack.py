@@ -44,9 +44,11 @@ class AttackConfig:
             raise ValueError("need 0 < magnitude_low <= magnitude_high")
 
 
-def default_attack_config(n_states: int) -> AttackConfig:
-    """Default: up to ceil(n_states / 3) targets, magnitudes U[0.01, 0.1] rad."""
-    return AttackConfig(max_targets=math.ceil(n_states / 3))
+def default_attack_config(n_states: int, max_targets: int = 0, magnitude_low: float = 0.01,
+                          magnitude_high: float = 0.1) -> AttackConfig:
+    """Up to max_targets targets, 0 meaning ceil(n_states / 3), magnitudes
+    U[magnitude_low, magnitude_high] rad."""
+    return AttackConfig(max_targets or math.ceil(n_states / 3), magnitude_low, magnitude_high)
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,8 @@ class ExperimentSpec:
             raise ValueError("need 0 < magnitude_low <= magnitude_high")
         if not 0 < self.val_fraction < 1:
             raise ValueError("val_fraction must be in (0, 1)")
+        if self.wrapper_k < 1:
+            raise ValueError("wrapper_k must be at least 1")
 
     def classifier_config(self, kind: str):
         return {"svm": self.svm, "knn": self.knn, "ann": self.ann}[kind]
@@ -219,13 +221,30 @@ def check_spec(spec: ExperimentSpec, systems) -> None:
 
 def _experiment_datasets(spec: ExperimentSpec, sys: BusSystem):
     noise = NoiseModel(spec.noise_sigma)
-    max_targets = spec.max_targets or math.ceil(sys.n_states / 3)
-    cfg = attack.AttackConfig(max_targets, spec.magnitude_low, spec.magnitude_high)
+    cfg = attack.default_attack_config(sys.n_states, spec.max_targets, spec.magnitude_low,
+                                       spec.magnitude_high)
     train = generate_dataset(sys, spec.n_train, spec.attack_ratio, noise,
                              spec.load_var, cfg, subseed(spec.seed, sys.name, "train"))
     test = generate_dataset(sys, spec.n_test, spec.attack_ratio, noise,
                             spec.load_var, cfg, subseed(spec.seed, sys.name, "test"))
     return train, test
+
+
+def wrapper_searches(spec: ExperimentSpec, system: str, X, y):
+    """search(method) -> (FsResult, seconds) on one KNN wrapper context of a
+    system's training rows; the methods share its mask cache, as fitness is
+    a pure function of the mask."""
+    ctx = featsel.make_fitness_context(
+        X, y, classifier="knn", config=KnnConfig(k=spec.wrapper_k),
+        val_fraction=spec.val_fraction, seed=subseed(spec.seed, system, "wrapper-split"),
+        standardize=spec.standardize)
+
+    def search(method: str):
+        t0 = time.perf_counter()
+        res = featsel.run_search(method, ctx, spec.fs_params(method),
+                                 subseed(spec.seed, system, method, "search"))
+        return res, time.perf_counter() - t0
+    return search
 
 
 def _fs_job(spec: ExperimentSpec, system: str):
@@ -234,24 +253,14 @@ def _fs_job(spec: ExperimentSpec, system: str):
     train, test = _experiment_datasets(spec, sys)
     out_rows = {}
     fs_runs = {}
-    ctx = None
+    search = None
     for fs in spec.fs_methods:
         if fs == "none":
             mask = np.ones(train.n_features, dtype=bool)
         else:
-            # one context, built for the first search: its mask cache is shared
-            # across methods on purpose, as fitness is a pure function of the mask
-            if ctx is None:
-                ctx = featsel.make_fitness_context(
-                    train.X, train.y, classifier="knn", config=KnnConfig(k=spec.wrapper_k),
-                    val_fraction=spec.val_fraction,
-                    seed=subseed(spec.seed, system, "wrapper-split"),
-                    standardize=spec.standardize)
-            t0 = time.perf_counter()
-            fs_res = featsel.run_search(fs, ctx, spec.fs_params(fs),
-                                        subseed(spec.seed, system, fs, "search"))
-            fs_runs[(system, fs)] = (fs_res, time.perf_counter() - t0)
-            mask = np.asarray(fs_res.best_mask, dtype=bool)
+            search = search or wrapper_searches(spec, system, train.X, train.y)
+            fs_runs[(system, fs)] = search(fs)
+            mask = np.asarray(fs_runs[(system, fs)][0].best_mask, dtype=bool)
         n_features = int(mask.sum())
         for kind in spec.classifiers:
             t0 = time.perf_counter()
@@ -320,6 +329,8 @@ def load_results(path) -> list:
             if len(fields) != 8:
                 raise ValueError("expected 8 fields")
             sysname, fs, kind, nf, acc, wall, seed, converged = fields
+            if converged not in ("0", "1"):
+                raise ValueError(f"converged must be 0 or 1, got {converged!r}")
             out.append(ExperimentResult(system=sysname, fs_method=fs, classifier=kind,
                                         n_features=int(nf), accuracy=float(acc),
                                         wall_time_s=float(wall), seed=int(seed),

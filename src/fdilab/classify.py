@@ -319,39 +319,19 @@ def _knn_votes_direct(Q, B, train_y, k: int, masks) -> np.ndarray:
     """knn_votes from the masked sums of squared coordinate differences, for
     2-D float Q and B and 2-D bool masks as knn_votes checks them.
 
-    The (query, column, train) difference block over U is squared and
-    multiplied by the 0/1 masks, in query chunks whose difference and
-    distance buffers fill about KNN_WORK_BYTES.
+    One query row at a time: its (column, train) difference block over U is
+    squared and multiplied by the 0/1 masks, and the first k of a stable
+    argsort are the nearest rows, the lowest indices winning a tie.
     """
     ones = np.asarray(train_y) == 1
-    n_b = B.shape[0]
     U = np.flatnonzero(masks.any(axis=0))
     W = masks[:, U].astype(float)
-    Qu, BuT = Q[:, U, None], np.ascontiguousarray(B[:, U].T)
-    P, n_q, n_u = W.shape[0], Q.shape[0], len(U)
-    rows = max(1, min(n_q, KNN_WORK_BYTES // (8 * n_b * (n_u + P))))
-    # (query, column, train) order keeps the innermost loops n_b long
-    D = np.empty((rows, n_u, n_b))
-    d2 = np.empty((rows, P, n_b))
-    out = np.empty((P, n_q), dtype=np.int64)
-    for start in range(0, n_q, rows):
-        r = min(rows, n_q - start)
-        Dc, dist = D[:r], d2[:r]
-        np.subtract(Qu[start:start + r], BuT, out=Dc)
-        np.square(Dc, out=Dc)
-        np.matmul(W, Dc, out=dist)
-        kth = np.partition(dist, k - 1, axis=-1)[..., k - 1:k]
-        near = dist <= kth
-        votes = np.count_nonzero(near & ones, axis=-1)
-        tied = np.count_nonzero(near, axis=-1) > k
-        if tied.any():
-            # more than k within the k-th distance: keep the lowest indices
-            d, t = dist[tied], kth[tied]
-            less, eq = d < t, d == t
-            need = k - np.count_nonzero(less, axis=-1)
-            take = less | (eq & (np.cumsum(eq, axis=-1) <= need[:, None]))
-            votes[tied] = np.count_nonzero(take & ones, axis=-1)
-        out[:, start:start + r] = (2 * votes > k).T
+    BuT = np.ascontiguousarray(B[:, U].T)
+    out = np.empty((W.shape[0], Q.shape[0]), dtype=np.int64)
+    for i, q in enumerate(Q[:, U]):
+        dist = W @ np.square(q[:, None] - BuT)
+        near = np.argsort(dist, axis=-1, kind="stable")[:, :k]
+        out[:, i] = 2 * np.count_nonzero(ones[near], axis=-1) > k
     return out
 
 

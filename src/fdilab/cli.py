@@ -23,7 +23,6 @@ import sys as _sys
 from pathlib import Path
 
 from . import __version__, attack, bench, featsel, powergrid
-from .classify import KnnConfig
 from .powergrid import NoiseModel
 
 
@@ -196,10 +195,8 @@ def cmd_generate(args) -> int:
     out = _out_dir(cfg)
     try:
         noise = NoiseModel(cfg["noise_sigma"])
-        atk_cfg = None
-        if cfg["max_targets"]:
-            atk_cfg = attack.AttackConfig(cfg["max_targets"], cfg["magnitude_low"],
-                                          cfg["magnitude_high"])
+        atk_cfg = attack.default_attack_config(sys_.n_states, cfg["max_targets"],
+                                               cfg["magnitude_low"], cfg["magnitude_high"])
         ds = attack.generate_dataset(sys_, cfg["n"], cfg["attack_ratio"], noise,
                                      cfg["load_var"], atk_cfg, cfg["seed"])
     except ValueError as exc:
@@ -266,18 +263,12 @@ def cmd_select(args) -> int:
     out = _out_dir(cfg)
     labels = _row_labels_for(ds)
     spec = _experiment_spec(cfg)
-    system = ds.meta.get("system", "dataset")
     try:
-        # one context for all methods: fitness is a pure function of the mask
-        ctx = featsel.make_fitness_context(
-            ds.X, ds.y, classifier="knn", config=KnnConfig(k=cfg["wrapper_k"]),
-            val_fraction=cfg["val_fraction"], standardize=cfg["standardize"],
-            seed=bench.subseed(cfg["seed"], system, "wrapper-split"))
+        search = bench.wrapper_searches(spec, ds.meta.get("system", "dataset"), ds.X, ds.y)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     for method in methods:
-        res = featsel.run_search(method, ctx, spec.fs_params(method),
-                                 bench.subseed(cfg["seed"], system, method, "search"))
+        res, _seconds = search(method)
         txt, trace = featsel.export_fs_result(res, labels, out / f"fs_{method}")
         print(f"{method}: {res.n_selected}/{ds.n_features} features, "
               f"fitness {res.best_fitness:.4f}, {res.evaluations} evaluations -> {txt}")
@@ -314,10 +305,11 @@ def cmd_benchmark(args) -> int:
     if results is None:
         fs_log = {}
         results = bench.run_matrix(spec, fs_log=fs_log)
+        labels = {system: powergrid.build_jacobian(cases[system]).row_labels
+                  for system in {system for system, _ in fs_log}}
         for (system, method), (fs_res, seconds) in sorted(fs_log.items()):
-            jac = powergrid.build_jacobian(cases[system])
             stem = Path(system).stem if system.endswith(".csv") else system
-            txt, _trace = featsel.export_fs_result(fs_res, jac.row_labels,
+            txt, _trace = featsel.export_fs_result(fs_res, labels[system],
                                                    out / f"fs_{stem}_{method}")
             with Path(txt).open("a") as fh:
                 fh.write(f"search_seconds = {seconds:.3f}\n")

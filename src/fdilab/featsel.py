@@ -234,16 +234,22 @@ class FsResult:
 
 
 class _Best:
-    """Best-so-far tracker with the fewer-features tie rule."""
+    """One search's bookkeeping on ctx: the best-so-far mask under the
+    fewer-features tie rule, the per-iteration trace and the evaluations."""
 
-    def __init__(self):
-        self.fit = -1.0
-        self.mask = None
+    def __init__(self, ctx: FitnessContext):
+        self.ctx, self.evals0 = ctx, ctx.evals
+        self.fit, self.mask, self.trace = -1.0, None, []
 
-    def offer(self, fit: float, mask: np.ndarray):
-        if _improves(fit, mask, self.fit, self.mask):
-            self.fit = fit
-            self.mask = mask.copy()
+    def offer(self, fits, masks):
+        """Offer each (fitness, mask) pair in order; returns fits."""
+        for fit, mask in zip(fits, masks):
+            if _improves(fit, mask, self.fit, self.mask):
+                self.fit, self.mask = fit, mask.copy()
+        return fits
+
+    def result(self) -> FsResult:
+        return FsResult(self.mask, self.fit, tuple(self.trace), self.ctx.evals - self.evals0)
 
 
 # ------------------------------------------------------------------ searches
@@ -258,14 +264,11 @@ def bcs_search(ctx: FitnessContext, p: BcsParams, rng) -> FsResult:
     """
     rng = np.random.default_rng(rng)
     m = ctx.n_features
-    evals0 = ctx.evals
+    best = _Best(ctx)
     pos = rng.uniform(-1.0, 1.0, (p.population, m))
     masks = [repair_mask(binarize(pos[i], rng), rng) for i in range(p.population)]
-    fits = fitness_batch(masks, ctx)
-    best = _Best()
-    for i in range(p.population):
-        best.offer(fits[i], masks[i])
-    trace = [best.fit]
+    fits = best.offer(fitness_batch(masks, ctx), masks)
+    best.trace.append(best.fit)
     n_abandon = int(math.floor(p.pa * p.population))
     for _ in range(p.iterations):
         for i in range(p.population):
@@ -277,19 +280,18 @@ def bcs_search(ctx: FitnessContext, p: BcsParams, rng) -> FsResult:
                 pos[j] = new_pos
                 masks[j] = new_mask
                 fits[j] = new_fit
-            best.offer(new_fit, new_mask)
+            best.offer([new_fit], [new_mask])
         if n_abandon:
             worst = sorted(range(p.population),
                            key=lambda i: (fits[i], -int(masks[i].sum()), i))[:n_abandon]
             for i in worst:
                 pos[i] = rng.uniform(-1.0, 1.0, m)
                 masks[i] = repair_mask(binarize(pos[i], rng), rng)
-            for i, fit in zip(worst, fitness_batch([masks[i] for i in worst], ctx)):
+            renewed = [masks[i] for i in worst]
+            for i, fit in zip(worst, best.offer(fitness_batch(renewed, ctx), renewed)):
                 fits[i] = fit
-                best.offer(fit, masks[i])
-        trace.append(best.fit)
-    return FsResult(best_mask=best.mask, best_fitness=best.fit,
-                    trace=tuple(trace), evaluations=ctx.evals - evals0)
+        best.trace.append(best.fit)
+    return best.result()
 
 
 def bpso_search(ctx: FitnessContext, p: BpsoParams, rng) -> FsResult:
@@ -301,16 +303,12 @@ def bpso_search(ctx: FitnessContext, p: BpsoParams, rng) -> FsResult:
     """
     rng = np.random.default_rng(rng)
     m = ctx.n_features
-    evals0 = ctx.evals
+    best = _Best(ctx)
     vel = rng.uniform(-1.0, 1.0, (p.population, m))
     x = np.stack([repair_mask(binarize(vel[i], rng), rng) for i in range(p.population)])
-    fits = np.array(fitness_batch(x, ctx))
     pbest_x = x.copy()
-    pbest_f = fits.copy()
-    best = _Best()
-    for i in range(p.population):
-        best.offer(pbest_f[i], pbest_x[i])
-    trace = [best.fit]
+    pbest_f = best.offer(np.array(fitness_batch(x, ctx)), pbest_x)
+    best.trace.append(best.fit)
     for _ in range(p.iterations):
         gbest = best.mask.astype(float)
         for i in range(p.population):
@@ -326,11 +324,9 @@ def bpso_search(ctx: FitnessContext, p: BpsoParams, rng) -> FsResult:
             if _improves(f, x[i], pbest_f[i], pbest_x[i]):
                 pbest_f[i] = f
                 pbest_x[i] = x[i].copy()
-        for i in range(p.population):
-            best.offer(pbest_f[i], pbest_x[i])
-        trace.append(best.fit)
-    return FsResult(best_mask=best.mask, best_fitness=best.fit,
-                    trace=tuple(trace), evaluations=ctx.evals - evals0)
+        best.offer(pbest_f, pbest_x)
+        best.trace.append(best.fit)
+    return best.result()
 
 
 def ga_search(ctx: FitnessContext, p: GaParams, rng) -> FsResult:
@@ -342,13 +338,10 @@ def ga_search(ctx: FitnessContext, p: GaParams, rng) -> FsResult:
     """
     rng = np.random.default_rng(rng)
     m = ctx.n_features
-    evals0 = ctx.evals
+    best = _Best(ctx)
     masks = [repair_mask(rng.integers(0, 2, m).astype(bool), rng) for _ in range(p.population)]
-    fits = fitness_batch(masks, ctx)
-    best = _Best()
-    for i in range(p.population):
-        best.offer(fits[i], masks[i])
-    trace = [best.fit]
+    fits = best.offer(fitness_batch(masks, ctx), masks)
+    best.trace.append(best.fit)
 
     def tournament():
         picks = rng.integers(0, p.population, size=p.tournament)
@@ -377,12 +370,9 @@ def ga_search(ctx: FitnessContext, p: GaParams, rng) -> FsResult:
                 if len(children) < p.population:
                     children.append(kid)
         masks = children
-        fits = fitness_batch(masks, ctx)
-        for i in range(p.population):
-            best.offer(fits[i], masks[i])
-        trace.append(best.fit)
-    return FsResult(best_mask=best.mask, best_fitness=best.fit,
-                    trace=tuple(trace), evaluations=ctx.evals - evals0)
+        fits = best.offer(fitness_batch(masks, ctx), masks)
+        best.trace.append(best.fit)
+    return best.result()
 
 
 SEARCHERS = {"bcs": (bcs_search, BcsParams), "bpso": (bpso_search, BpsoParams),

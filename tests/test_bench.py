@@ -303,6 +303,9 @@ class TestResultsIO:
         p.write_text(f"{RESULTS_HEADER}\n{row.replace('0.9', 'high')}\n")  # a bad number
         with pytest.raises(ValueError, match=r"other\.csv line 2: could not convert"):
             load_results(p)
+        p.write_text(f"{RESULTS_HEADER}\n{row[:-1]}yes\n")  # a converged flag not 0 or 1
+        with pytest.raises(ValueError, match=r"other\.csv line 2: converged must be 0 or 1"):
+            load_results(p)
 
 
 class TestReport:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdilab import cli, load_dataset
+from fdilab import bench, cli, load_dataset, powergrid, save_dataset
 from fdilab.bench import RESULTS_HEADER, load_results
 from fdilab.cli import CONFIG_KEYS, ConfigError, _read_config_file, main
 
@@ -82,6 +82,17 @@ class TestGenerate:
     def test_bad_attack_ratio_is_config_error(self, tmp_path, capsys):
         assert run(["generate", "--case", "ieee14", "--n", "20",
                     "--attack-ratio", "1.5", "--out-dir", str(tmp_path)]) == 1
+
+    def test_config_magnitudes_reach_the_dataset(self, tmp_path):
+        # max_targets = 0 (the default) still takes the configured magnitudes
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("magnitude_low = 0.5\nmagnitude_high = 0.6\n")
+        dest = tmp_path / "ds.csv"
+        assert run(["generate", "--case", "ieee14", "--n", "20", "--config", str(cfg),
+                    "--out", str(dest), "--out-dir", str(tmp_path)]) == 0
+        sidecar = (tmp_path / "ds.csv.meta").read_text().splitlines()
+        assert "magnitude_low = 0.5" in sidecar and "magnitude_high = 0.6" in sidecar
+        assert "max_targets = 5" in sidecar  # ceil(13 / 3)
 
 
 class TestConfigFile:
@@ -233,6 +244,29 @@ class TestSelectCmd:
                     "--out-dir", str(tmp_path)]) == 1
         assert "k=50 exceeds the 32 wrapper training rows" in capsys.readouterr().err
 
+    def test_reproduces_the_benchmark_export_on_its_training_rows(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ga_population = 8\nga_iterations = 3\n")
+        common = ["--seed", "5", "--config", str(cfg)]
+        assert run(["benchmark", "--systems", "ieee14", "--fs", "ga", "--classifier", "knn",
+                    "--n-train", "120", "--n-test", "40", *common,
+                    "--out-dir", str(tmp_path / "bench")]) == 0
+        spec = bench.ExperimentSpec(n_train=120, n_test=40, seed=5)
+        train = bench._experiment_datasets(spec, powergrid.load_builtin("ieee14"))[0]
+        train.meta["system"] = "ieee14"
+        save_dataset(train, tmp_path / "train.csv")
+        assert run(["select", "--dataset", str(tmp_path / "train.csv"), "--fs", "ga", *common,
+                    "--out-dir", str(tmp_path / "sel")]) == 0
+
+        def lines(path):  # the benchmark adds its search time
+            return [line for line in path.read_text().splitlines()
+                    if not line.startswith("search_seconds")]
+
+        assert lines(tmp_path / "sel" / "fs_ga.txt") == \
+            lines(tmp_path / "bench" / "fs_ieee14_ga.txt")
+        assert (tmp_path / "sel" / "fs_ga_trace.csv").read_bytes() == \
+            (tmp_path / "bench" / "fs_ieee14_ga_trace.csv").read_bytes()
+
     def test_fs_none_only_is_config_error(self, tmp_path):
         ds_path = tmp_path / "ds.csv"
         run(["generate", "--case", "ieee14", "--n", "30", "--seed", "0",
@@ -354,8 +388,9 @@ class TestOutOfRange:
         (BENCH + ["--n-test", "1"], "", "n_test"),
         (BENCH, "magnitude_low = 0.5\nmagnitude_high = 0.1\n", "magnitude_low"),
         (BENCH, "val_fraction = 1.5\n", "val_fraction"),
+        (BENCH, "wrapper_k = 0\n", "wrapper_k"),
     ], ids=["standardize", "holdout", "attack_ratio", "noise_sigma", "load_var", "n_test",
-            "magnitudes", "val_fraction"])
+            "magnitudes", "val_fraction", "wrapper_k"])
     def test_setting_is_config_error_before_any_work(self, tmp_path, capsys, argv, config,
                                                      name):
         argv = list(argv)
