@@ -18,6 +18,7 @@ from .powergrid import (
     BusSystem,
     DcJacobian,
     NoiseModel,
+    bad_data_test,
     build_jacobian,
     solve_dc_state,
     wls_estimate,
@@ -188,8 +189,7 @@ def stealthiness_report(ds: Dataset, H: DcJacobian, variance, threshold: float):
     """
     if ds.n_features != H.n_measurements:
         raise ValueError("dataset does not match this Jacobian")
-    res = batch_residuals(ds.X, H, variance)
-    flags = res >= threshold
+    flags = bad_data_test(batch_residuals(ds.X, H, variance), threshold)
     clean = ds.y == 0
     attacked = ds.y == 1
     clean_rate = float(flags[clean].mean()) if clean.any() else 0.0

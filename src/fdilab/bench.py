@@ -180,12 +180,20 @@ class ExperimentSpec:
             raise ValueError("val_fraction must be in (0, 1)")
         if self.wrapper_k < 1:
             raise ValueError("wrapper_k must be at least 1")
+        if self.threads < 1:
+            raise ValueError(f"threads must be a positive integer, got {self.threads}")
+        for fs in self.fs_methods:
+            if fs != "none" and fs not in featsel.SEARCHERS:
+                raise ValueError(f"unknown FS method {fs!r} (use none, bcs, bpso, ga)")
+        for kind in self.classifiers:
+            if kind not in ("svm", "knn", "ann"):
+                raise ValueError(f"unknown classifier {kind!r} (use svm, knn, ann)")
 
     def classifier_config(self, kind: str):
-        return {"svm": self.svm, "knn": self.knn, "ann": self.ann}[kind]
+        return getattr(self, kind)
 
     def fs_params(self, method: str):
-        return {"bcs": self.bcs, "bpso": self.bpso, "ga": self.ga}[method]
+        return getattr(self, method)
 
 
 @dataclass(frozen=True)

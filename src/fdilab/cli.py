@@ -6,9 +6,10 @@ Subcommands: generate (datasets), gridsearch (hyperparameters), select
 
 Configuration comes from defaults, then an optional flat `key = value` file
 (--config), then the FDI_LAB_THREADS environment variable, then flags; later
-layers win. Every run writes the resolved configuration to a manifest so it
-can be reproduced. Exit codes: 0 success, 1 usage or configuration error,
-2 runtime failure.
+layers win. A setting's flag is its config key with dashes (--n-train sets
+n_train), cast like the same value in a config file. Every run writes the
+resolved configuration to a manifest so it can be reproduced. Exit codes:
+0 success, 1 usage or configuration error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ def _spec_keys():
 
 # every known config key: name -> (caster, default); the last four are CLI-only
 CONFIG_KEYS = {key: (_caster(default), default) for key, _, _, default in _spec_keys()}
-CONFIG_KEYS.update({"holdout": (float, 0.2), "case": (str, ""), "n": (int, 1000),
-                    "out_dir": (str, "runs")})
+CONFIG_KEYS.update({"holdout": (float, bench.GridSearchSpec.holdout), "case": (str, ""),
+                    "n": (int, 1000), "out_dir": (str, "runs")})
 
 
 def _read_config_file(path: Path) -> dict:
@@ -108,6 +109,10 @@ def _read_config_file(path: Path) -> dict:
     return out
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _resolve(args) -> dict:
     """defaults <- config file <- FDI_LAB_THREADS <- explicit flags."""
     cfg = {key: default for key, (_, default) in CONFIG_KEYS.items()}
@@ -118,16 +123,13 @@ def _resolve(args) -> dict:
         if not env_threads.strip().isdecimal() or int(env_threads) < 1:
             raise ConfigError(f"FDI_LAB_THREADS must be a positive integer, got {env_threads!r}")
         cfg["threads"] = int(env_threads)
-    for key in CONFIG_KEYS:
+    for key, (caster, _default) in CONFIG_KEYS.items():
         val = getattr(args, key, None)
         if val is not None:
-            caster, _default = CONFIG_KEYS[key]
             try:
-                cfg[key] = caster(val) if isinstance(val, str) else val
+                cfg[key] = caster(val)
             except ValueError as exc:
-                raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from None
-    if cfg["threads"] < 1:
-        raise ConfigError(f"threads must be a positive integer, got {cfg['threads']}")
+                raise ConfigError(f"{_flag(key)}: {exc}") from None
     return cfg
 
 
@@ -146,15 +148,6 @@ def _experiment_spec(cfg: dict) -> bench.ExperimentSpec:
         raise ConfigError(str(exc)) from None
 
 
-def _validate_choices(cfg: dict) -> None:
-    for fs in cfg["fs"]:
-        if fs not in ("none", "bcs", "bpso", "ga"):
-            raise ConfigError(f"unknown FS method {fs!r} (use none, bcs, bpso, ga)")
-    for kind in cfg["classifier"]:
-        if kind not in ("svm", "knn", "ann"):
-            raise ConfigError(f"unknown classifier {kind!r} (use svm, knn, ann)")
-
-
 def _case(name: str) -> powergrid.BusSystem:
     try:
         return powergrid.resolve_case(name)
@@ -168,21 +161,14 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
+def _text(val) -> str:
+    """A config value as a config file or the manifest writes it."""
+    return ",".join(val) if isinstance(val, tuple) else f"{val}"
+
+
 def _manifest_lines(cfg: dict, include=None) -> list:
-    keys = sorted(include if include is not None else CONFIG_KEYS)
-    lines = []
-    for key in keys:
-        val = cfg[key]
-        if isinstance(val, tuple):
-            val = ",".join(val)
-        lines.append(f"{key} = {val}")
-    return lines
-
-
-def _write_manifest(cfg: dict, out: Path, name: str = "manifest.txt") -> Path:
-    path = out / name
-    path.write_text("\n".join(_manifest_lines(cfg)) + "\n")
-    return path
+    return [f"{key} = {_text(cfg[key])}"
+            for key in sorted(include if include is not None else CONFIG_KEYS)]
 
 
 # ---------------------------------------------------------------- subcommands
@@ -192,7 +178,6 @@ def cmd_generate(args) -> int:
     if not cfg["case"]:
         raise ConfigError("--case is required")
     sys_ = _case(cfg["case"])
-    out = _out_dir(cfg)
     try:
         noise = NoiseModel(cfg["noise_sigma"])
         atk_cfg = attack.default_attack_config(sys_.n_states, cfg["max_targets"],
@@ -201,7 +186,8 @@ def cmd_generate(args) -> int:
                                      cfg["load_var"], atk_cfg, cfg["seed"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    dest = Path(args.out) if args.out else out / f"{sys_.name}_n{cfg['n']}_seed{cfg['seed']}.csv"
+    dest = (Path(args.out) if args.out
+            else _out_dir(cfg) / f"{sys_.name}_n{cfg['n']}_seed{cfg['seed']}.csv")
     ds.meta["case"] = cfg["case"]  # `system` holds only the stem of a case CSV
     attack.save_dataset(ds, dest)
     n_attacked = int(ds.y.sum())
@@ -212,7 +198,6 @@ def cmd_generate(args) -> int:
 
 def cmd_gridsearch(args) -> int:
     cfg = _resolve(args)
-    _validate_choices(cfg)
     try:
         specs = [bench.GridSearchSpec(classifier=kind, grid=bench.default_grid(kind),
                                       holdout=cfg["holdout"], seed=cfg["seed"],
@@ -255,18 +240,17 @@ def cmd_gridsearch(args) -> int:
 
 def cmd_select(args) -> int:
     cfg = _resolve(args)
-    _validate_choices(cfg)
-    methods = [m for m in cfg["fs"] if m != "none"]
+    spec = _experiment_spec(cfg)
+    methods = [m for m in spec.fs_methods if m != "none"]
     if not methods:
         raise ConfigError("nothing to do: --fs selects no search method")
     ds = _load_dataset_arg(args)
-    out = _out_dir(cfg)
-    labels = _row_labels_for(ds)
-    spec = _experiment_spec(cfg)
     try:
         search = bench.wrapper_searches(spec, ds.meta.get("system", "dataset"), ds.X, ds.y)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    out = _out_dir(cfg)
+    labels = _row_labels_for(ds)
     for method in methods:
         res, _seconds = search(method)
         txt, trace = featsel.export_fs_result(res, labels, out / f"fs_{method}")
@@ -277,7 +261,6 @@ def cmd_select(args) -> int:
 
 def cmd_benchmark(args) -> int:
     cfg = _resolve(args)
-    _validate_choices(cfg)
     spec = _experiment_spec(cfg)
     cases = {name: _case(name) for name in spec.systems}
     try:
@@ -285,12 +268,13 @@ def cmd_benchmark(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     out = _out_dir(cfg)
-    _write_manifest(cfg, out)
+    (out / "manifest.txt").write_text("\n".join(_manifest_lines(cfg)) + "\n")
     # wall_time_s varies between runs, so reruns of an identical configuration
     # on identical code reuse the stored rows; this is what makes rerun
     # outputs byte-identical
     key_lines = _manifest_lines(cfg, include=[k for k in CONFIG_KEYS
                                               if k not in ("out_dir", "threads", "case", "n")])
+    key_lines += [repr(case) for case in cases.values()]  # a case CSV's contents
     key_lines.append(f"code = {_code_fingerprint()}")
     spec_hash = hashlib.sha256("\n".join(key_lines).encode()).hexdigest()[:16]
     cache_path = out / f"rows_{spec_hash}.csv"
@@ -308,9 +292,8 @@ def cmd_benchmark(args) -> int:
         labels = {system: powergrid.build_jacobian(cases[system]).row_labels
                   for system in {system for system, _ in fs_log}}
         for (system, method), (fs_res, seconds) in sorted(fs_log.items()):
-            stem = Path(system).stem if system.endswith(".csv") else system
             txt, _trace = featsel.export_fs_result(fs_res, labels[system],
-                                                   out / f"fs_{stem}_{method}")
+                                                   out / f"fs_{cases[system].name}_{method}")
             with Path(txt).open("a") as fh:
                 fh.write(f"search_seconds = {seconds:.3f}\n")
         bench.export_results(results, cache_path)
@@ -345,12 +328,9 @@ def _code_fingerprint() -> str:
 
 
 def _load_dataset_arg(args):
-    path = Path(args.dataset)
-    if not path.exists():
-        raise ConfigError(f"dataset file not found: {path}")
     try:
-        return attack.load_dataset(path)
-    except ValueError as exc:
+        return attack.load_dataset(Path(args.dataset))
+    except (FileNotFoundError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -367,52 +347,32 @@ def _row_labels_for(ds) -> list:
 
 # -------------------------------------------------------------------- parser
 
-def _add_common(sub):
-    sub.add_argument("--config", help="flat key = value configuration file")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--out-dir", dest="out_dir")
-    sub.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    sub.add_argument("--load-var", dest="load_var", type=float)
-    sub.add_argument("--attack-ratio", dest="attack_ratio", type=float)
-    sub.add_argument("--standardize", dest="standardize")
+_COMMON = ("seed", "out_dir", "noise_sigma", "load_var", "attack_ratio", "standardize")
+# subcommand -> (help, the config keys it takes as flags besides _COMMON)
+_SUBCOMMANDS = {
+    "generate": ("simulate a labeled dataset", ("case", "n", "max_targets")),
+    "gridsearch": ("hyperparameter search on a dataset", ("classifier", "holdout")),
+    "select": ("run feature selection on a dataset", ("fs", "wrapper_k")),
+    "benchmark": ("full FS x classifier x system matrix",
+                  ("systems", "fs", "classifier", "n_train", "n_test", "threads")),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="fdilab",
                      description="Stealthy false-data-injection benchmark on DC state estimation")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    gen = subs.add_parser("generate", help="simulate a labeled dataset")
-    _add_common(gen)
-    gen.add_argument("--case", help="bundled case name (ieee14/ieee57/ieee118) or case CSV path")
-    gen.add_argument("--n", type=int, help="number of samples")
-    gen.add_argument("--max-targets", dest="max_targets", type=int)
-    gen.add_argument("--out", help="dataset CSV destination")
-    gen.set_defaults(func=cmd_generate)
-
-    gs = subs.add_parser("gridsearch", help="hyperparameter search on a dataset")
-    _add_common(gs)
-    gs.add_argument("--dataset", required=True, help="dataset CSV from `generate`")
-    gs.add_argument("--classifier", help="comma list: svm,knn,ann")
-    gs.add_argument("--holdout", type=float)
-    gs.set_defaults(func=cmd_gridsearch)
-
-    sel = subs.add_parser("select", help="run feature selection on a dataset")
-    _add_common(sel)
-    sel.add_argument("--dataset", required=True)
-    sel.add_argument("--fs", help="comma list: bcs,bpso,ga")
-    sel.add_argument("--wrapper-k", dest="wrapper_k", type=int)
-    sel.set_defaults(func=cmd_select)
-
-    bm = subs.add_parser("benchmark", help="full FS x classifier x system matrix")
-    _add_common(bm)
-    bm.add_argument("--systems", help="comma list of case names/paths")
-    bm.add_argument("--fs", help="comma list incl. none")
-    bm.add_argument("--classifier", help="comma list: svm,knn,ann")
-    bm.add_argument("--n-train", dest="n_train", type=int)
-    bm.add_argument("--n-test", dest="n_test", type=int)
-    bm.add_argument("--threads", type=int)
-    bm.set_defaults(func=cmd_benchmark)
+    for name, (help_, keys) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_)
+        sub.set_defaults(func=globals()[f"cmd_{name}"])
+        sub.add_argument("--config", help="flat key = value configuration file")
+        for key in _COMMON + keys:  # a string, cast by _resolve as the config file is
+            sub.add_argument(_flag(key), dest=key,
+                             help=f"default: {_text(CONFIG_KEYS[key][1]) or '-'}")
+    subs.choices["generate"].add_argument("--out", help="dataset CSV destination")
+    for name in ("gridsearch", "select"):
+        subs.choices[name].add_argument("--dataset", required=True,
+                                        help="dataset CSV from `generate`")
 
     rep = subs.add_parser("report", help="render a results CSV as tables")
     rep.add_argument("--results", required=True)

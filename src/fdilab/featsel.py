@@ -111,13 +111,14 @@ def fitness_batch(masks, ctx: FitnessContext) -> list:
     return [ctx.cache[key] for key in keys]
 
 
+def _rank(fit: float, mask: np.ndarray) -> tuple:
+    """Order of scored masks, larger is better: higher fitness, then fewer features."""
+    return fit, -int(np.count_nonzero(mask))
+
+
 def _improves(new_fit: float, new_mask: np.ndarray, old_fit: float, old_mask) -> bool:
     """Strictly better fitness, or equal fitness with fewer selected features."""
-    if new_fit != old_fit:
-        return new_fit > old_fit
-    if old_mask is None:
-        return True
-    return int(new_mask.sum()) < int(old_mask.sum())
+    return old_mask is None or _rank(new_fit, new_mask) > _rank(old_fit, old_mask)
 
 
 # ---------------------------------------------------------------- primitives
@@ -245,7 +246,7 @@ class _Best:
         """Offer each (fitness, mask) pair in order; returns fits."""
         for fit, mask in zip(fits, masks):
             if _improves(fit, mask, self.fit, self.mask):
-                self.fit, self.mask = fit, mask.copy()
+                self.fit, self.mask = float(fit), mask.copy()
         return fits
 
     def result(self) -> FsResult:
@@ -283,7 +284,7 @@ def bcs_search(ctx: FitnessContext, p: BcsParams, rng) -> FsResult:
             best.offer([new_fit], [new_mask])
         if n_abandon:
             worst = sorted(range(p.population),
-                           key=lambda i: (fits[i], -int(masks[i].sum()), i))[:n_abandon]
+                           key=lambda i: _rank(fits[i], masks[i]))[:n_abandon]
             for i in worst:
                 pos[i] = rng.uniform(-1.0, 1.0, m)
                 masks[i] = repair_mask(binarize(pos[i], rng), rng)
@@ -353,8 +354,9 @@ def ga_search(ctx: FitnessContext, p: GaParams, rng) -> FsResult:
         return masks[winner]
 
     for _ in range(p.iterations):
-        ranked = sorted(range(p.population),
-                        key=lambda i: (-fits[i], int(masks[i].sum()), i))
+        # a reversed sort is still stable: equal ranks keep index order
+        ranked = sorted(range(p.population), key=lambda i: _rank(fits[i], masks[i]),
+                        reverse=True)
         children = [masks[i].copy() for i in ranked[:p.elite]]
         while len(children) < p.population:
             pa, pb = tournament(), tournament()

@@ -275,8 +275,9 @@ def residual_norm(z: np.ndarray, H: DcJacobian, x_hat: np.ndarray) -> float:
     return float(r @ r)
 
 
-def bad_data_test(residual: float, threshold: float) -> bool:
-    """True iff bad data is flagged: residual >= threshold (boundary is bad)."""
+def bad_data_test(residual, threshold: float):
+    """True iff bad data is flagged: residual >= threshold (boundary is bad).
+    An array of residuals gives an array of flags."""
     if not threshold > 0:
         raise ValueError("threshold must be positive")
     return residual >= threshold

@@ -184,6 +184,16 @@ class TestExperimentSpec:
         assert spec.classifier_config("knn") is spec.knn
         assert spec.fs_params("ga") is spec.ga
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("classifiers", ("knn", "forest"), "unknown classifier 'forest'"),
+        ("fs_methods", ("none", "tabu"), "unknown FS method 'tabu'"),
+        ("threads", 0, "threads must be a positive integer, got 0"),
+    ], ids=["classifier", "fs_method", "threads"])
+    def test_rejects_unknown_names_and_threads_below_one(self, field, value, message):
+        # at construction, not as a KeyError inside run_matrix
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(**{field: value})
+
     def test_resolve_builtin_and_path(self, tmp_path):
         assert resolve_case("ieee14").n_buses == 14
         p = tmp_path / "tri.csv"

@@ -3,6 +3,7 @@ and byte-identical benchmark reruns."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,10 @@ import pytest
 from fdilab import bench, cli, load_dataset, powergrid, save_dataset
 from fdilab.bench import RESULTS_HEADER, load_results
 from fdilab.cli import CONFIG_KEYS, ConfigError, _read_config_file, main
+
+
+TRIANGLE = ("BUS,1,1.5\nBUS,2,-0.5\nBUS,3,-1\n"
+            "BRANCH,1,2,0.1\nBRANCH,2,3,0.1\nBRANCH,1,3,0.1\n")
 
 
 def run(argv):
@@ -72,12 +77,16 @@ class TestGenerate:
 
     def test_custom_case_file(self, tmp_path):
         case = tmp_path / "tri.csv"
-        case.write_text("BUS,1,1.5\nBUS,2,-0.5\nBUS,3,-1\n"
-                        "BRANCH,1,2,0.1\nBRANCH,2,3,0.1\nBRANCH,1,3,0.1\n")
+        case.write_text(TRIANGLE)
         dest = tmp_path / "ds.csv"
         assert run(["generate", "--case", str(case), "--n", "20", "--seed", "0",
                     "--out", str(dest), "--out-dir", str(tmp_path)]) == 0
         assert load_dataset(dest).n_features == 6
+
+    def test_out_makes_no_out_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["generate", "--case", "ieee14", "--n", "20", "--out", "x.csv"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.csv.meta"]
 
     def test_bad_attack_ratio_is_config_error(self, tmp_path, capsys):
         assert run(["generate", "--case", "ieee14", "--n", "20",
@@ -211,8 +220,7 @@ class TestSelectCmd:
 
     def test_case_csv_dataset_gets_row_labels(self, tmp_path):
         case = tmp_path / "tri.csv"
-        case.write_text("BUS,1,1.5\nBUS,2,-0.5\nBUS,3,-1\n"
-                        "BRANCH,1,2,0.1\nBRANCH,2,3,0.1\nBRANCH,1,3,0.1\n")
+        case.write_text(TRIANGLE)
         ds_path = tmp_path / "ds.csv"
         assert run(["generate", "--case", str(case), "--n", "60", "--seed", "0",
                     "--out", str(ds_path), "--out-dir", str(tmp_path)]) == 0
@@ -366,6 +374,20 @@ class TestBenchmarkCmd:
                     "--n-train", "40", "--n-test", "30", "--config", str(cfg),
                     "--out-dir", str(tmp_path / "bench")]) == 0
 
+    def test_edited_case_csv_is_a_different_run(self, tmp_path, capsys):
+        case = tmp_path / "tri.csv"
+        argv = ["benchmark", "--systems", str(case), "--fs", "none", "--classifier", "knn",
+                "--n-train", "80", "--n-test", "40", "--seed", "1"]
+        case.write_text(TRIANGLE)
+        assert run(argv + ["--out-dir", str(tmp_path / "bench")]) == 0
+        case.write_text(TRIANGLE.replace("BRANCH,1,3,0.1", "BRANCH,1,3,0.4"))
+        capsys.readouterr()
+        assert run(argv + ["--out-dir", str(tmp_path / "bench")]) == 0
+        assert "reusing cached rows" not in capsys.readouterr().out
+        assert run(argv + ["--out-dir", str(tmp_path / "fresh")]) == 0
+        rows, fresh = (load_results(tmp_path / d / "results.csv") for d in ("bench", "fresh"))
+        assert [r.accuracy for r in rows] == [r.accuracy for r in fresh]
+
     def test_unknown_system_is_config_error(self, tmp_path, capsys):
         assert run(["benchmark", "--systems", "ieee99", "--out-dir", str(tmp_path)]) == 1
         assert "no bundled case" in capsys.readouterr().err
@@ -381,6 +403,10 @@ class TestOutOfRange:
     @pytest.mark.parametrize("argv, config, name", [
         (["generate", "--case", "ieee14", "--n", "20", "--standardize", "maybe"], "",
          "--standardize"),
+        (["generate", "--case", "ieee14", "--n", "20", "--seed", "abc"], "", "--seed"),
+        (["generate", "--case", "ieee14", "--n", "20", "--attack-ratio", "2"], "",
+         "attack_ratio"),
+        (["select", "--fs", "ga", "--wrapper-k", "50"], "", "k=50"),
         (["gridsearch", "--holdout", "1.5"], "", "holdout"),
         (BENCH + ["--attack-ratio", "2"], "", "attack_ratio"),
         (BENCH + ["--noise-sigma", "-1"], "", "noise_sigma"),
@@ -389,12 +415,13 @@ class TestOutOfRange:
         (BENCH, "magnitude_low = 0.5\nmagnitude_high = 0.1\n", "magnitude_low"),
         (BENCH, "val_fraction = 1.5\n", "val_fraction"),
         (BENCH, "wrapper_k = 0\n", "wrapper_k"),
-    ], ids=["standardize", "holdout", "attack_ratio", "noise_sigma", "load_var", "n_test",
-            "magnitudes", "val_fraction", "wrapper_k"])
+    ], ids=["standardize", "seed", "generate attack_ratio", "select wrapper_k", "holdout",
+            "attack_ratio", "noise_sigma", "load_var", "n_test", "magnitudes", "val_fraction",
+            "wrapper_k"])
     def test_setting_is_config_error_before_any_work(self, tmp_path, capsys, argv, config,
                                                      name):
         argv = list(argv)
-        if argv[0] == "gridsearch":
+        if argv[0] in ("gridsearch", "select"):
             data = tmp_path / "d.csv"
             assert run(["generate", "--case", "ieee14", "--n", "40", "--out", str(data),
                         "--out-dir", str(tmp_path / "gen")]) == 0
@@ -407,6 +434,40 @@ class TestOutOfRange:
         assert run(argv + ["--out-dir", str(out_dir)]) == 1
         assert name in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+class TestParser:
+    COMMON = ["seed", "out_dir", "noise_sigma", "load_var", "attack_ratio", "standardize"]
+    # subcommand -> (the config keys it takes as flags, its other options)
+    FLAGS = {
+        "generate": (COMMON + ["case", "n", "max_targets"], ["--config", "--out"]),
+        "gridsearch": (COMMON + ["classifier", "holdout"], ["--config", "--dataset"]),
+        "select": (COMMON + ["fs", "wrapper_k"], ["--config", "--dataset"]),
+        "benchmark": (COMMON + ["systems", "fs", "classifier", "n_train", "n_test", "threads"],
+                      ["--config"]),
+        "report": ([], ["--results"]),
+    }
+    TEXT = {tuple: "a,b", bool: "no", int: "7", float: "0.5", str: "x"}
+
+    @pytest.mark.parametrize("command, key", [(command, key) for command, (keys, _) in
+                                              FLAGS.items() for key in keys])
+    def test_flag_resolves_to_the_cast_value(self, monkeypatch, command, key):
+        monkeypatch.delenv("FDI_LAB_THREADS", raising=False)
+        caster, default = CONFIG_KEYS[key]
+        text = self.TEXT[type(default)]
+        argv = [command, "--" + key.replace("_", "-"), text]
+        if command in ("gridsearch", "select"):
+            argv += ["--dataset", "d.csv"]
+        assert cli._resolve(cli.build_parser().parse_args(argv))[key] == caster(text)
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_help_lists_exactly_the_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        keys, others = self.FLAGS[command]
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == {"--help", *others, *("--" + key.replace("_", "-") for key in keys)}
 
 
 class TestThreads:

@@ -332,6 +332,16 @@ class TestExport:
         assert lines[0] == "iteration,best_fitness"
         assert len(lines) == 1 + len(res.trace)
 
+    @pytest.mark.parametrize("method", ["bcs", "bpso", "ga"])
+    def test_fitness_lines_parse_as_floats(self, tmp_path, ctx, method):
+        # every searcher reports plain floats, so the exports hold bare reprs
+        res = run_search(method, ctx, None, 0)
+        txt, trace = export_fs_result(res, [f"m{i}" for i in range(6)], tmp_path / method)
+        fit_line = txt.read_text().splitlines()[0]
+        assert float(fit_line.removeprefix("best_fitness = ")) == res.best_fitness
+        values = [float(line.split(",")[1]) for line in trace.read_text().splitlines()[1:]]
+        assert values == list(res.trace)
+
     def test_label_count_mismatch(self, tmp_path, ctx):
         res = run_search("ga", ctx, GaParams(population=8, iterations=2), 0)
         with pytest.raises(ValueError, match="label count"):
