@@ -257,7 +257,24 @@ def load_dataset(path) -> Dataset:
     # loadtxt skips blank lines, so a row count short of the line count fails too
     if (data is None or data.shape != (n_lines, m + 1) or n_lines == 0
             or not np.isfinite(data[:, :m]).all() or not np.isin(data[:, m], (0, 1)).all()):
-        X, y = _scan_rows(path, m)
+        # scan the rows one by one and name the first bad line
+        rows, labels = [], []
+        with path.open() as fh:
+            fh.readline()
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.strip().split(",")
+                if len(parts) != m + 1:
+                    raise ValueError(f"{path} line {lineno}: expected {m + 1} fields")
+                try:
+                    rows.append([float(v) for v in parts[:m]])
+                    if not all(map(math.isfinite, rows[-1])):
+                        raise ValueError("non-finite feature")
+                    labels.append(int(parts[m]))
+                    if labels[-1] not in (0, 1):
+                        raise ValueError(f"label must be 0 or 1, got {labels[-1]}")
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {lineno}: {exc}") from None
+        X, y = np.array(rows), np.array(labels, dtype=np.int64)
     else:
         X, y = np.ascontiguousarray(data[:, :m]), data[:, m].astype(np.int64)
     meta = {}
@@ -268,27 +285,6 @@ def load_dataset(path) -> Dataset:
                 key, _, val = line.partition("=")
                 meta[key.strip()] = _parse_meta_value(val.strip())
     return Dataset(X=X, y=y, meta=meta)
-
-
-def _scan_rows(path: Path, m: int):
-    """Parse the body line by line; raise naming the first bad line."""
-    rows, labels = [], []
-    with path.open() as fh:
-        fh.readline()
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != m + 1:
-                raise ValueError(f"{path} line {lineno}: expected {m + 1} fields")
-            try:
-                rows.append([float(v) for v in parts[:m]])
-                if not all(map(math.isfinite, rows[-1])):
-                    raise ValueError("non-finite feature")
-                labels.append(int(parts[m]))
-                if labels[-1] not in (0, 1):
-                    raise ValueError(f"label must be 0 or 1, got {labels[-1]}")
-            except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
-    return np.array(rows), np.array(labels, dtype=np.int64)
 
 
 def _parse_meta_value(text: str):

@@ -345,14 +345,14 @@ def ann_hidden_size(L: int, N: int = 2) -> int:
 
 
 def _sigmoid(z):
-    # exp(-|z|) never overflows; both branches give the textbook form exactly
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # exp never overflows here; the numerator is exactly 1 for z >= 0 and e^z below
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(np.copysign(z, -1.0)))
 
 
 def _softmax(S):
     e = np.exp(S - S.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def ann_init(L: int, N: int, seed: int) -> dict:
@@ -375,9 +375,26 @@ def ann_init(L: int, N: int, seed: int) -> dict:
 
 def _ann_layers(params: dict, X: np.ndarray):
     """Hidden activations A1, output sigmoids S and softmax scores P of rows X."""
-    A1 = _sigmoid(X @ params["W1"].T - params["th1"])
-    S = _sigmoid(A1 @ params["W2"].T - params["th2"])
+    Z1 = X @ params["W1"].T
+    Z1 -= params["th1"]
+    A1 = _sigmoid(Z1)
+    Z2 = A1 @ params["W2"].T
+    Z2 -= params["th2"]
+    S = _sigmoid(Z2)
     return A1, S, _softmax(S)
+
+
+def _ann_backward(W2: np.ndarray, Y: np.ndarray, A1, S, P):
+    """Node errors (dZ1, dZ2) of a batch's mean cross-entropy, Y one-hot; P is
+    overwritten with dZ2 = (P - Y) / B * S * (1 - S)."""
+    P -= Y
+    P /= Y.shape[0]
+    P *= S
+    P *= 1.0 - S
+    dZ1 = P @ W2
+    dZ1 *= A1
+    dZ1 *= 1.0 - A1
+    return dZ1, P
 
 
 def ann_forward(params: dict, X) -> np.ndarray:
@@ -395,38 +412,38 @@ def ann_loss_grads(params: dict, X: np.ndarray, Y: np.ndarray):
     Y is one-hot, shape (batch, N). Returns (loss, grads) with grads keyed
     like params.
     """
-    B = X.shape[0]
     A1, S, P = _ann_layers(params, X)
-    loss = float(-(Y * np.log(P)).sum() / B)
-    dS = (P - Y) / B                     # softmax + cross-entropy pair
-    dZ2 = dS * S * (1.0 - S)             # through the output sigmoid
-    dA1 = dZ2 @ params["W2"]
-    dZ1 = dA1 * A1 * (1.0 - A1)
-    grads = {
-        "W2": dZ2.T @ A1,
-        "th2": -dZ2.sum(axis=0),
-        "W1": dZ1.T @ X,
-        "th1": -dZ1.sum(axis=0),
-    }
+    loss = float(-(Y * np.log(P)).sum() / X.shape[0])
+    dZ1, dZ2 = _ann_backward(params["W2"], Y, A1, S, P)
+    grads = {"W2": dZ2.T @ A1, "th2": -dZ2.sum(axis=0),
+             "W1": dZ1.T @ X, "th1": -dZ1.sum(axis=0)}
     return loss, grads
 
 
 def _ann_fit(X: np.ndarray, y: np.ndarray, cfg: AnnConfig):
+    """Minibatch gradient descent in place: W -= alpha dZ'A, theta += alpha sum(dZ)
+    (= theta - alpha * grad bit for bit). A non-finite weight stays non-finite,
+    so one check per epoch reports every divergence."""
     n, L = X.shape
-    N = 2
-    params = ann_init(L, N, cfg.seed)
-    Y = np.zeros((n, N))
+    params = ann_init(L, 2, cfg.seed)
+    W1, th1, W2, th2 = params["W1"], params["th1"], params["W2"], params["th2"]
+    Y = np.zeros((n, 2))
     Y[np.arange(n), y] = 1.0
     rng = np.random.default_rng(cfg.seed + 1)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
+        Xo, Yo = X[order], Y[order]
         for start in range(0, n, cfg.batch):
-            sel = order[start:start + cfg.batch]
-            loss, grads = ann_loss_grads(params, X[sel], Y[sel])
-            if not math.isfinite(loss):
-                raise ValueError(f"non-finite training loss at epoch {epoch}")
-            for key in params:
-                params[key] -= cfg.alpha * grads[key]
+            Xb = Xo[start:start + cfg.batch]
+            A1, S, P = _ann_layers(params, Xb)
+            dZ1, dZ2 = _ann_backward(W2, Yo[start:start + cfg.batch], A1, S, P)
+            for W, th, dZ, A in ((W2, th2, dZ2, A1), (W1, th1, dZ1, Xb)):
+                g = dZ.T @ A
+                g *= cfg.alpha
+                W -= g
+                th += cfg.alpha * dZ.sum(axis=0)
+        if not all(np.isfinite(w).all() for w in params.values()):
+            raise ValueError(f"non-finite weights at epoch {epoch}")
     return params, True
 
 
@@ -451,6 +468,8 @@ def train_model(X, y, kind: str, cfg, mask=None, standardize: bool = True) -> Tr
     if mask.shape != (X.shape[1],) or not mask.any():
         raise ValueError("mask must select at least one feature")
     Xm = X[:, mask]
+    if not np.isfinite(Xm).all():
+        raise ValueError("training features must be finite")
     scaler = standardize_fit(Xm) if standardize else None
     Xs = standardize_apply(scaler, Xm) if standardize else Xm
     if kind in ("svm", "ann") and len(np.unique(y)) < 2:
@@ -475,6 +494,8 @@ def _prepare(model: TrainedModel, X) -> np.ndarray:
         X = X[:, model.mask]
     elif X.shape[1] != int(model.mask.sum()):
         raise ValueError("feature count matches neither the full nor the masked space")
+    if not np.isfinite(X).all():
+        raise ValueError("query features must be finite")
     return standardize_apply(model.scaler, X) if model.scaler is not None else X
 
 

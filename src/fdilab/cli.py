@@ -178,6 +178,8 @@ def cmd_generate(args) -> int:
     if not cfg["case"]:
         raise ConfigError("--case is required")
     sys_ = _case(cfg["case"])
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        raise ConfigError(f"--out: {args.out} is not a file in an existing directory")
     try:
         noise = NoiseModel(cfg["noise_sigma"])
         atk_cfg = attack.default_attack_config(sys_.n_states, cfg["max_targets"],
@@ -359,11 +361,11 @@ _SUBCOMMANDS = {
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="fdilab",
+    parser = _Parser(prog="fdilab", allow_abbrev=False,
                      description="Stealthy false-data-injection benchmark on DC state estimation")
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_, keys) in _SUBCOMMANDS.items():
-        sub = subs.add_parser(name, help=help_)
+        sub = subs.add_parser(name, help=help_, allow_abbrev=False)
         sub.set_defaults(func=globals()[f"cmd_{name}"])
         sub.add_argument("--config", help="flat key = value configuration file")
         for key in _COMMON + keys:  # a string, cast by _resolve as the config file is
@@ -374,7 +376,7 @@ def build_parser() -> _Parser:
         subs.choices[name].add_argument("--dataset", required=True,
                                         help="dataset CSV from `generate`")
 
-    rep = subs.add_parser("report", help="render a results CSV as tables")
+    rep = subs.add_parser("report", help="render a results CSV as tables", allow_abbrev=False)
     rep.add_argument("--results", required=True)
     rep.set_defaults(func=cmd_report)
     return parser

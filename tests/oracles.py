@@ -251,6 +251,59 @@ def svm_dual_oracle(K, y_pm, C, steps=3000):
     return a
 
 
+def sigmoid_oracle(z):
+    """The logistic function as two branches of exp(-|z|), chosen by np.where."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def ann_fit_oracle(X, y, cfg):
+    """_ann_fit one minibatch at a time: gather the batch rows, compute the
+    loss and a fresh gradient dict, stop on a non-finite loss, and step every
+    parameter by -alpha * grad. Same initial weights, row orders and
+    arithmetic order as the package, so the weights agree bit for bit."""
+    from fdilab.classify import ann_init
+
+    def layers(params, Xb):
+        A1 = sigmoid_oracle(Xb @ params["W1"].T - params["th1"])
+        S = sigmoid_oracle(A1 @ params["W2"].T - params["th2"])
+        e = np.exp(S - S.max(axis=1, keepdims=True))
+        return A1, S, e / e.sum(axis=1, keepdims=True)
+
+    def loss_grads(params, Xb, Yb):
+        B = Xb.shape[0]
+        A1, S, P = layers(params, Xb)
+        loss = float(-(Yb * np.log(P)).sum() / B)
+        dS = (P - Yb) / B
+        dZ2 = dS * S * (1.0 - S)
+        dA1 = dZ2 @ params["W2"]
+        dZ1 = dA1 * A1 * (1.0 - A1)
+        grads = {
+            "W2": dZ2.T @ A1,
+            "th2": -dZ2.sum(axis=0),
+            "W1": dZ1.T @ Xb,
+            "th1": -dZ1.sum(axis=0),
+        }
+        return loss, grads
+
+    n, L = X.shape
+    N = 2
+    params = ann_init(L, N, cfg.seed)
+    Y = np.zeros((n, N))
+    Y[np.arange(n), y] = 1.0
+    rng = np.random.default_rng(cfg.seed + 1)
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch):
+            sel = order[start:start + cfg.batch]
+            loss, grads = loss_grads(params, X[sel], Y[sel])
+            if not math.isfinite(loss):
+                raise ValueError(f"non-finite training loss at epoch {epoch}")
+            for key in params:
+                params[key] -= cfg.alpha * grads[key]
+    return params
+
+
 def ann_loss_fd(loss_fn, params, h=1e-5):
     """Central finite-difference gradients of loss_fn over a dict of arrays."""
     grads = {}

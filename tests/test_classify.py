@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fdilab import (
     AnnConfig,
@@ -34,10 +34,12 @@ from fdilab.classify import (
 )
 
 from oracles import (
+    ann_fit_oracle,
     ann_loss_fd,
     duality_gap,
     kernel_gaussian,
     knn_oracle,
+    sigmoid_oracle,
     svm_dual_objective as dual_obj_loops,
     svm_dual_oracle,
 )
@@ -495,10 +497,43 @@ class TestAnnGradients:
         assert all(np.array_equal(m1.params[k], m2.params[k]) for k in m1.params)
 
     def test_nonfinite_loss_raises_with_epoch(self):
-        X, y = blobs(n_per=5, seed=9)
-        X[0, 0] = np.nan
-        with pytest.raises(ValueError, match="epoch"):
-            train_model(X, y, "ann", AnnConfig(epochs=3), standardize=False)
+        # train_model rejects non-finite features, so the loops get them
+        # directly; finite features, even near 1e300, saturate the sigmoids
+        for bad in (np.nan, np.inf, -np.inf):
+            X, y = blobs(n_per=5, seed=9)
+            X[0, :2] = bad
+            for fit in (classify._ann_fit, ann_fit_oracle):
+                with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="epoch 0"):
+                    fit(X, y, AnnConfig(epochs=3))
+
+
+class TestAnnFitMatchesOracle:
+    @given(n=st.integers(1, 40), L=st.integers(1, 9), batch=st.integers(1, 50),
+           alpha=st.floats(1e-3, 5.0), seed=st.integers(0, 2**16), epochs=st.integers(1, 4))
+    @example(n=17, L=3, batch=1, alpha=0.1, seed=0, epochs=2)
+    @example(n=17, L=3, batch=17, alpha=0.1, seed=1, epochs=2)
+    @example(n=17, L=3, batch=40, alpha=0.1, seed=2, epochs=2)
+    @example(n=37, L=5, batch=8, alpha=0.7, seed=3, epochs=3)
+    @settings(max_examples=60, deadline=None)
+    def test_weights_bit_identical(self, n, L, batch, alpha, seed, epochs):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(0.0, 1.0, (n, L))
+        y = rng.integers(0, 2, n)
+        cfg = AnnConfig(alpha=alpha, epochs=epochs, batch=batch, seed=seed)
+        got, converged = classify._ann_fit(X, y, cfg)
+        want = ann_fit_oracle(X, y, cfg)
+        assert converged and got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+    def test_sigmoid_matches_the_two_branch_form(self):
+        tiny = np.finfo(float).smallest_subnormal
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-310, -1e-310,
+                            745.0, -745.0, 800.0, -800.0, 36.7, -36.7])
+        rand = np.random.default_rng(0).normal(0.0, 20.0, 10_000)
+        for z in (special, rand, special.reshape(3, 5)):
+            assert np.array_equal(classify._sigmoid(z), sigmoid_oracle(z), equal_nan=True)
+        assert classify._sigmoid(np.float64(-2.0)) == sigmoid_oracle(np.float64(-2.0))
 
 
 class TestCommonSurface:
@@ -508,6 +543,27 @@ class TestCommonSurface:
             accuracy([1], [1, 0])
         with pytest.raises(ValueError):
             accuracy([], [])
+
+    @pytest.mark.parametrize("kind, cfg", [
+        ("svm", SvmConfig(C=1.0, gamma=0.5)),
+        ("knn", KnnConfig(k=3)),
+        ("ann", AnnConfig(epochs=5)),
+    ])
+    def test_nonfinite_features_rejected(self, kind, cfg):
+        X, y = blobs(seed=18)
+        bad = X.copy()
+        bad[2, 1] = np.nan
+        for standardize in (True, False):
+            with pytest.raises(ValueError, match="training features must be finite"):
+                train_model(bad, y, kind, cfg, standardize=standardize)
+        model = train_model(X, y, kind, cfg)
+        query = X[:3].copy()
+        query[1, 0] = np.inf
+        with pytest.raises(ValueError, match="query features must be finite"):
+            predict(model, query)
+        # a non-finite value outside the mask is never read
+        mask = np.array([True, False, True, True])
+        assert predict(train_model(bad, y, kind, cfg, mask=mask), X).shape == y.shape
 
     def test_unknown_kind(self):
         X, y = blobs(seed=1)

@@ -88,6 +88,17 @@ class TestGenerate:
         assert run(["generate", "--case", "ieee14", "--n", "20", "--out", "x.csv"]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.csv.meta"]
 
+    def test_out_not_a_file_in_an_existing_directory_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("dataset built before --out was checked")
+
+        monkeypatch.setattr(cli.attack, "generate_dataset", build)
+        dest = tmp_path / "nodir" / "x.csv"
+        for out in (dest, tmp_path):  # a missing parent, a directory
+            assert run(["generate", "--case", "ieee14", "--n", "30", "--out", str(out)]) == 1
+            assert f"--out: {out} is not a file" in capsys.readouterr().err
+        assert not dest.parent.exists()
+
     def test_bad_attack_ratio_is_config_error(self, tmp_path, capsys):
         assert run(["generate", "--case", "ieee14", "--n", "20",
                     "--attack-ratio", "1.5", "--out-dir", str(tmp_path)]) == 1
@@ -459,6 +470,15 @@ class TestParser:
         if command in ("gridsearch", "select"):
             argv += ["--dataset", "d.csv"]
         assert cli._resolve(cli.build_parser().parse_args(argv))[key] == caster(text)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["select", "--dataset", "d.csv", "--fs", "ga", "--n", "5"], "--n"),
+        (["benchmark", "--n-tr", "40"], "--n-tr"),
+    ])
+    def test_abbreviated_flag_is_usage_error(self, capsys, argv, flag):
+        # no prefix matching: --n is not read as --noise-sigma
+        assert run(argv) == 1
+        assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", list(FLAGS))
     def test_help_lists_exactly_the_flags(self, capsys, command):
