@@ -6,7 +6,7 @@ minute: one system, NO-FS baseline plus GA selection, SVM and KNN. The
 printed report has one block per system with FS methods as rows.
 
 Every number below is a pure function of the ExperimentSpec: rerunning
-this script reproduces it bit for bit (wall times aside).
+this script reproduces it bit for bit (search times aside).
 """
 
 from fdilab import ExperimentSpec, GaParams, render_report, run_matrix

@@ -188,6 +188,10 @@ class ExperimentSpec:
         for kind in self.classifiers:
             if kind not in ("svm", "knn", "ann"):
                 raise ValueError(f"unknown classifier {kind!r} (use svm, knn, ann)")
+        for what, names in (("system", self.systems), ("FS method", self.fs_methods),
+                            ("classifier", self.classifiers)):
+            if len(set(names)) < len(names):
+                raise ValueError(f"repeated {what}: {','.join(names)}")
 
     def classifier_config(self, kind: str):
         return getattr(self, kind)
@@ -203,7 +207,6 @@ class ExperimentResult:
     classifier: str
     n_features: int
     accuracy: float
-    wall_time_s: float
     seed: int
     converged: bool = True    # False when the SVM solver hit its iteration cap
 
@@ -259,7 +262,7 @@ def _fs_job(spec: ExperimentSpec, system: str):
     """One (system, fs ...) unit: select features once, then score every classifier."""
     sys = powergrid.resolve_case(system)
     train, test = _experiment_datasets(spec, sys)
-    out_rows = {}
+    out_rows = []
     fs_runs = {}
     search = None
     for fs in spec.fs_methods:
@@ -271,15 +274,13 @@ def _fs_job(spec: ExperimentSpec, system: str):
             mask = np.asarray(fs_runs[(system, fs)][0].best_mask, dtype=bool)
         n_features = int(mask.sum())
         for kind in spec.classifiers:
-            t0 = time.perf_counter()
             model = classify.train_model(train.X, train.y, kind,
                                          spec.classifier_config(kind),
                                          mask=mask, standardize=spec.standardize)
             acc = classify.accuracy(classify.predict(model, test.X), test.y)
-            wall = time.perf_counter() - t0
-            out_rows[(system, fs, kind)] = ExperimentResult(
+            out_rows.append(ExperimentResult(
                 system=system, fs_method=fs, classifier=kind, n_features=n_features,
-                accuracy=acc, wall_time_s=wall, seed=spec.seed, converged=model.converged)
+                accuracy=acc, seed=spec.seed, converged=model.converged))
     return out_rows, fs_runs
 
 
@@ -292,24 +293,19 @@ def run_matrix(spec: ExperimentSpec, fs_log: dict | None = None) -> list:
     fs_log, when given, collects {(system, fs): (FsResult, seconds)}.
     """
     parallel = spec.threads > 1 and len(spec.systems) > 1
-    rows = {}
+    rows = []
     with ThreadPoolExecutor(max_workers=spec.threads if parallel else 1) as pool:
         jobs = (pool.map if parallel else map)(functools.partial(_fs_job, spec), spec.systems)
-        for out_rows, fs_runs in jobs:
-            rows.update(out_rows)
+        for out_rows, fs_runs in jobs:  # in spec.systems order, as map keeps it
+            rows += out_rows
             if fs_log is not None:
                 fs_log.update(fs_runs)
-    ordered = []
-    for system in spec.systems:
-        for fs in spec.fs_methods:
-            for kind in spec.classifiers:
-                ordered.append(rows[(system, fs, kind)])
-    return ordered
+    return rows
 
 
 # ----------------------------------------------------------- export / report
 
-RESULTS_HEADER = "system,fs_method,classifier,n_features,accuracy,wall_time_s,seed,converged"
+RESULTS_HEADER = "system,fs_method,classifier,n_features,accuracy,seed,converged"
 
 
 def export_results(results, path) -> Path:
@@ -321,7 +317,7 @@ def export_results(results, path) -> Path:
         fh.write(RESULTS_HEADER + "\n")
         for r in results:
             fh.write(f"{r.system},{r.fs_method},{r.classifier},{r.n_features},"
-                     f"{r.accuracy!r},{r.wall_time_s:.3f},{r.seed},{int(r.converged)}\n")
+                     f"{r.accuracy!r},{r.seed},{int(r.converged)}\n")
     return path
 
 
@@ -334,15 +330,14 @@ def load_results(path) -> list:
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         try:
-            if len(fields) != 8:
-                raise ValueError("expected 8 fields")
-            sysname, fs, kind, nf, acc, wall, seed, converged = fields
+            if len(fields) != 7:
+                raise ValueError("expected 7 fields")
+            sysname, fs, kind, nf, acc, seed, converged = fields
             if converged not in ("0", "1"):
                 raise ValueError(f"converged must be 0 or 1, got {converged!r}")
             out.append(ExperimentResult(system=sysname, fs_method=fs, classifier=kind,
                                         n_features=int(nf), accuracy=float(acc),
-                                        wall_time_s=float(wall), seed=int(seed),
-                                        converged=converged == "1"))
+                                        seed=int(seed), converged=converged == "1"))
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from None
     return out
@@ -351,7 +346,8 @@ def load_results(path) -> list:
 def render_report(results) -> str:
     """Per-system table: one row per FS method, one accuracy column per classifier.
 
-    An accuracy whose model did not converge is marked with a `*`.
+    An accuracy whose model did not converge is marked with a `*`. A system
+    whose rows mix seeds or repeat a cell is a ValueError.
     """
     if not results:
         raise ValueError("no results to report")
@@ -359,6 +355,11 @@ def render_report(results) -> str:
     lines = []
     for system in dict.fromkeys(r.system for r in results):
         sys_rows = [r for r in results if r.system == system]
+        seeds = sorted({r.seed for r in sys_rows})
+        if len(seeds) > 1:
+            raise ValueError(f"{system}: rows from more than one seed {seeds}")
+        if len({(r.fs_method, r.classifier) for r in sys_rows}) < len(sys_rows):
+            raise ValueError(f"{system}: an (FS method, classifier) cell appears twice")
         fs_order = dict.fromkeys(r.fs_method for r in sys_rows)
         lines.append(f"=== {system} (seed {sys_rows[0].seed}) ===")
         header = f"{'FS':<8}{'features':>9}" + "".join(f"{c.upper():>10}" for c in classifiers)

@@ -87,21 +87,19 @@ class SvmConfig:
 
     tol bounds the maximal KKT violation at convergence. max_sweeps caps the
     solver's iterations (one working pair each); a fit that reaches it is
-    returned with converged=False. max_passes is validated but unused: the
-    second-order solver has no notion of passes.
+    returned with converged=False.
     """
 
     C: float = 10.0
     gamma: float = 0.1
     tol: float = 1e-3
-    max_passes: int = 3
     max_sweeps: int = 100_000
 
     def __post_init__(self):
         if not (self.C > 0 and self.gamma > 0 and self.tol > 0):
             raise ValueError("C, gamma and tol must be positive")
-        if self.max_passes < 1 or self.max_sweeps < 1:
-            raise ValueError("max_passes and max_sweeps must be at least 1")
+        if self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be at least 1")
 
 
 @dataclass(frozen=True)

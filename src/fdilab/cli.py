@@ -166,11 +166,6 @@ def _text(val) -> str:
     return ",".join(val) if isinstance(val, tuple) else f"{val}"
 
 
-def _manifest_lines(cfg: dict, include=None) -> list:
-    return [f"{key} = {_text(cfg[key])}"
-            for key in sorted(include if include is not None else CONFIG_KEYS)]
-
-
 # ---------------------------------------------------------------- subcommands
 
 def cmd_generate(args) -> int:
@@ -270,37 +265,19 @@ def cmd_benchmark(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     out = _out_dir(cfg)
-    (out / "manifest.txt").write_text("\n".join(_manifest_lines(cfg)) + "\n")
-    # wall_time_s varies between runs, so reruns of an identical configuration
-    # on identical code reuse the stored rows; this is what makes rerun
-    # outputs byte-identical
-    key_lines = _manifest_lines(cfg, include=[k for k in CONFIG_KEYS
-                                              if k not in ("out_dir", "threads", "case", "n")])
-    key_lines += [repr(case) for case in cases.values()]  # a case CSV's contents
-    key_lines.append(f"code = {_code_fingerprint()}")
-    spec_hash = hashlib.sha256("\n".join(key_lines).encode()).hexdigest()[:16]
-    cache_path = out / f"rows_{spec_hash}.csv"
-    results = None
-    if cache_path.exists():
-        try:
-            results = bench.load_results(cache_path)
-        except ValueError as exc:
-            _ignore_corrupt_cache(cache_path, exc)
-        else:
-            print(f"(reusing cached rows {cache_path})")
-    if results is None:
-        fs_log = {}
-        results = bench.run_matrix(spec, fs_log=fs_log)
-        labels = {system: powergrid.build_jacobian(cases[system]).row_labels
-                  for system in {system for system, _ in fs_log}}
-        for (system, method), (fs_res, seconds) in sorted(fs_log.items()):
-            txt, _trace = featsel.export_fs_result(fs_res, labels[system],
-                                                   out / f"fs_{cases[system].name}_{method}")
-            with Path(txt).open("a") as fh:
-                fh.write(f"search_seconds = {seconds:.3f}\n")
-        bench.export_results(results, cache_path)
-    results_path = out / "results.csv"
-    results_path.write_bytes(cache_path.read_bytes())
+    # the manifest is a config file: the code line is a comment
+    manifest = [f"# code = {_code_fingerprint()}"]
+    manifest += [f"{key} = {_text(cfg[key])}" for key in sorted(CONFIG_KEYS)]
+    (out / "manifest.txt").write_text("\n".join(manifest) + "\n")
+    fs_log = {}
+    results = bench.run_matrix(spec, fs_log=fs_log)
+    for (system, method), (fs_res, seconds) in sorted(fs_log.items()):
+        txt, _trace = featsel.export_fs_result(
+            fs_res, powergrid.build_jacobian(cases[system]).row_labels,
+            out / f"fs_{cases[system].name}_{method}")
+        with Path(txt).open("a") as fh:
+            fh.write(f"search_seconds = {seconds:.3f}\n")
+    results_path = bench.export_results(results, out / "results.csv")
     report = bench.render_report(results)
     (out / "report.txt").write_text(report)
     print(report, end="")
@@ -322,7 +299,7 @@ def _ignore_corrupt_cache(path: Path, exc: Exception) -> None:
 
 
 def _code_fingerprint() -> str:
-    """Package version and a digest of its sources, so cached rows never outlive the code."""
+    """Package version and a digest of its sources; keys cached accuracies and the manifest."""
     h = hashlib.sha256(__version__.encode())
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(path.name.encode() + path.read_bytes())

@@ -164,7 +164,7 @@ def test_criterion_06_svm_dual_feasibility_and_optimality():
         y = (X[:, 0] + 0.3 * rng.normal(size=n) > 0).astype(np.int64)
         if y.min() == y.max():
             y[0] = 1 - y[0]
-        cfg = SvmConfig(C=1.5, gamma=0.5, tol=1e-4, max_passes=5, max_sweeps=8000)
+        cfg = SvmConfig(C=1.5, gamma=0.5, tol=1e-4, max_sweeps=8000)
         model = train_model(X, y, "svm", cfg, standardize=False)
         a = model.params["sv_alpha"]
         ysv = model.params["sv_y"]

@@ -188,7 +188,11 @@ class TestExperimentSpec:
         ("classifiers", ("knn", "forest"), "unknown classifier 'forest'"),
         ("fs_methods", ("none", "tabu"), "unknown FS method 'tabu'"),
         ("threads", 0, "threads must be a positive integer, got 0"),
-    ], ids=["classifier", "fs_method", "threads"])
+        ("systems", ("ieee14", "ieee57", "ieee14"), "repeated system: ieee14,ieee57,ieee14"),
+        ("fs_methods", ("none", "none"), "repeated FS method: none,none"),
+        ("classifiers", ("knn", "knn"), "repeated classifier: knn,knn"),
+    ], ids=["classifier", "fs_method", "threads", "repeated system", "repeated fs_method",
+            "repeated classifier"])
     def test_rejects_unknown_names_and_threads_below_one(self, field, value, message):
         # at construction, not as a KeyError inside run_matrix
         with pytest.raises(ValueError, match=message):
@@ -220,7 +224,6 @@ class TestRunMatrix:
         assert rows[0].n_features == 34
         assert 1 <= rows[1].n_features <= 34
         assert all(0.0 <= r.accuracy <= 1.0 for r in rows)
-        assert all(r.wall_time_s >= 0.0 for r in rows)
         assert all(r.seed == 3 for r in rows)
         assert ("ieee14", "ga") in fs_log
         fs_res, seconds = fs_log[("ieee14", "ga")]
@@ -270,8 +273,7 @@ class TestResultsIO:
         p = tmp_path / "results.csv"
         export_results(rows, p)
         header = p.read_text().splitlines()[0]
-        assert header == ("system,fs_method,classifier,n_features,accuracy,wall_time_s,seed,"
-                          "converged")
+        assert header == "system,fs_method,classifier,n_features,accuracy,seed,converged"
         back = load_results(p)
         assert [(r.system, r.fs_method, r.classifier, r.n_features, r.accuracy, r.seed,
                  r.converged) for r in back] == \
@@ -306,9 +308,13 @@ class TestResultsIO:
         p.write_text(RESULTS_HEADER + "\n")  # a header with no rows
         with pytest.raises(ValueError, match="not a results CSV"):
             load_results(p)
-        row = "ieee14,none,knn,34,0.9,0.100,0,1"
+        p.write_text("system,fs_method,classifier,n_features,accuracy,wall_time_s,seed,"
+                     "converged\nieee14,none,knn,34,0.9,0.100,0,1\n")  # the old 8 columns
+        with pytest.raises(ValueError, match="not a results CSV"):
+            load_results(p)
+        row = "ieee14,none,knn,34,0.9,0,1"
         p.write_text(f"{RESULTS_HEADER}\n{row}\nieee14,none,svm,34,0.9\n")  # a short row
-        with pytest.raises(ValueError, match=r"other\.csv line 3: expected 8 fields"):
+        with pytest.raises(ValueError, match=r"other\.csv line 3: expected 7 fields"):
             load_results(p)
         p.write_text(f"{RESULTS_HEADER}\n{row.replace('0.9', 'high')}\n")  # a bad number
         with pytest.raises(ValueError, match=r"other\.csv line 2: could not convert"):
@@ -322,7 +328,7 @@ class TestReport:
     def fabricated(self):
         mk = lambda fs, cls, nf, acc: ExperimentResult(
             system="ieee14", fs_method=fs, classifier=cls, n_features=nf,
-            accuracy=acc, wall_time_s=0.5, seed=0)
+            accuracy=acc, seed=0)
         return [mk("none", "svm", 34, 0.99), mk("none", "knn", 34, 0.96),
                 mk("ga", "svm", 8, 0.97), mk("ga", "knn", 8, 0.95)]
 
@@ -348,6 +354,14 @@ class TestReport:
         ga_line = next(l for l in text.splitlines() if l.startswith("ga"))
         assert "0.9700*" in ga_line and "0.9500*" not in ga_line
         assert "iteration cap" in text
+
+    @pytest.mark.parametrize("edit", [{"seed": 1}, {}], ids=["two seeds", "repeated cell"])
+    def test_ambiguous_cell_rejected(self, edit):
+        # a repeated (none, knn) cell has no one accuracy to print
+        rows = self.fabricated()
+        rows.append(dataclasses.replace(rows[1], accuracy=0.8, **edit))
+        with pytest.raises(ValueError, match="ieee14: "):
+            render_report(rows)
 
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError):

@@ -173,7 +173,7 @@ class TestSvm:
     def test_margin_condition_on_free_vectors(self):
         # KKT: y_i f(x_i) = 1 on support vectors strictly inside the box
         X, y = blobs(n_per=15, spread=1.0, seed=9)
-        cfg = SvmConfig(C=2.0, gamma=0.4, tol=1e-4, max_passes=5)
+        cfg = SvmConfig(C=2.0, gamma=0.4, tol=1e-4)
         model = train_model(X, y, "svm", cfg)
         p = model.params
         a, ysv = p["sv_alpha"], p["sv_y"]
@@ -193,7 +193,7 @@ class TestSvm:
             y = (X[:, 0] + 0.3 * rng.normal(size=n) > 0).astype(np.int64)
             if y.min() == y.max():
                 y[0] = 1 - y[0]
-            cfg = SvmConfig(C=1.5, gamma=0.5, tol=1e-4, max_passes=5, max_sweeps=8000)
+            cfg = SvmConfig(C=1.5, gamma=0.5, tol=1e-4, max_sweeps=8000)
             model = train_model(X, y, "svm", cfg, standardize=False)
             K = _gram(X, X, cfg.gamma)
             y_pm = np.where(y == 1, 1.0, -1.0)

@@ -132,6 +132,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown key"):
             _read_config_file(cfg)
 
+    def test_removed_svm_max_passes_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("svm_max_passes = 3\n")
+        assert run(["benchmark", "--config", str(cfg), "--out-dir", str(tmp_path / "b")]) == 1
+        assert "unknown key 'svm_max_passes'" in capsys.readouterr().err
+
     def test_bad_value_reports_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 7\nn_train = many\n")
@@ -313,7 +319,6 @@ class TestBenchmarkCmd:
         # rerun with the same seed: byte-identical results
         assert self._run_bench(out_dir) == 0
         assert results.read_bytes() == first
-        assert "reusing cached rows" in capsys.readouterr().out
 
     def test_different_seed_is_a_different_run(self, tmp_path, capsys):
         out_dir = tmp_path / "bench"
@@ -330,33 +335,18 @@ class TestBenchmarkCmd:
         assert "n_train = 120" in manifest
         assert "systems = ieee14" in manifest
 
-    def test_code_change_invalidates_cached_rows(self, tmp_path, capsys, monkeypatch):
-        out_dir = tmp_path / "bench"
-        assert self._run_bench(out_dir) == 0
-        capsys.readouterr()
-        monkeypatch.setattr(cli, "_code_fingerprint", lambda: "other code")
-        assert self._run_bench(out_dir) == 0
-        assert "reusing cached rows" not in capsys.readouterr().out
-
-    @pytest.mark.parametrize("text", ["system,fs\nnot,a,row\n", RESULTS_HEADER + "\n"],
-                             ids=["foreign", "no rows"])
-    def test_corrupt_cached_rows_are_recomputed(self, tmp_path, capsys, text):
-        out_dir = tmp_path / "bench"
-        assert self._run_bench(out_dir) == 0
-        first = load_results(out_dir / "results.csv")
-        (rows_path,) = out_dir.glob("rows_*.csv")
-        rows_path.write_text(text)
-        capsys.readouterr()
-        assert self._run_bench(out_dir) == 0
-        captured = capsys.readouterr()
-        assert "reusing cached rows" not in captured.out
-        assert captured.err.count("\n") == 1
-        assert "warning: ignoring corrupt cache" in captured.err
-        again = load_results(rows_path)
-        assert [(r.fs_method, r.accuracy) for r in again] == \
-            [(r.fs_method, r.accuracy) for r in first]
-        assert self._run_bench(out_dir) == 0
-        assert "reusing cached rows" in capsys.readouterr().out
+    def test_manifest_reruns_the_benchmark(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ga_population = 6\nga_iterations = 2\n")
+        dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+        assert run(["benchmark", "--systems", "ieee14", "--fs", "none,ga", "--classifier",
+                    "knn", "--n-train", "120", "--n-test", "60", "--seed", "4",
+                    "--config", str(cfg), "--out-dir", str(dir_a)]) == 0
+        manifest = dir_a / "manifest.txt"
+        assert manifest.read_text().splitlines()[0] == f"# code = {cli._code_fingerprint()}"
+        assert run(["benchmark", "--config", str(manifest), "--out-dir", str(dir_b)]) == 0
+        for name in ("results.csv", "report.txt"):
+            assert (dir_b / name).read_bytes() == (dir_a / name).read_bytes()
 
     @pytest.mark.parametrize("key, value, message", [
         ("knn_k", 50, "knn_k = 50 exceeds the 40 training rows"),
@@ -385,16 +375,14 @@ class TestBenchmarkCmd:
                     "--n-train", "40", "--n-test", "30", "--config", str(cfg),
                     "--out-dir", str(tmp_path / "bench")]) == 0
 
-    def test_edited_case_csv_is_a_different_run(self, tmp_path, capsys):
+    def test_edited_case_csv_is_a_different_run(self, tmp_path):
         case = tmp_path / "tri.csv"
         argv = ["benchmark", "--systems", str(case), "--fs", "none", "--classifier", "knn",
                 "--n-train", "80", "--n-test", "40", "--seed", "1"]
         case.write_text(TRIANGLE)
         assert run(argv + ["--out-dir", str(tmp_path / "bench")]) == 0
         case.write_text(TRIANGLE.replace("BRANCH,1,3,0.1", "BRANCH,1,3,0.4"))
-        capsys.readouterr()
         assert run(argv + ["--out-dir", str(tmp_path / "bench")]) == 0
-        assert "reusing cached rows" not in capsys.readouterr().out
         assert run(argv + ["--out-dir", str(tmp_path / "fresh")]) == 0
         rows, fresh = (load_results(tmp_path / d / "results.csv") for d in ("bench", "fresh"))
         assert [r.accuracy for r in rows] == [r.accuracy for r in fresh]
@@ -426,9 +414,10 @@ class TestOutOfRange:
         (BENCH, "magnitude_low = 0.5\nmagnitude_high = 0.1\n", "magnitude_low"),
         (BENCH, "val_fraction = 1.5\n", "val_fraction"),
         (BENCH, "wrapper_k = 0\n", "wrapper_k"),
+        (BENCH + ["--classifier", "knn,svm,knn"], "", "repeated classifier: knn,svm,knn"),
     ], ids=["standardize", "seed", "generate attack_ratio", "select wrapper_k", "holdout",
             "attack_ratio", "noise_sigma", "load_var", "n_test", "magnitudes", "val_fraction",
-            "wrapper_k"])
+            "wrapper_k", "repeated classifier"])
     def test_setting_is_config_error_before_any_work(self, tmp_path, capsys, argv, config,
                                                      name):
         argv = list(argv)
@@ -533,3 +522,13 @@ class TestReportCmd:
         assert run(["report", "--results", str(out_dir / "results.csv")]) == 0
         out = capsys.readouterr().out
         assert "=== ieee14" in out and "KNN" in out
+
+    def test_rows_from_two_seeds_are_a_runtime_error(self, tmp_path, capsys):
+        # the same exit code as for any other malformed results file
+        results = tmp_path / "results.csv"
+        results.write_text(f"{RESULTS_HEADER}\nieee14,none,knn,34,0.9,0,1\n"
+                           "ieee14,none,knn,34,0.8,1,1\n")
+        assert run(["report", "--results", str(results)]) == 2
+        captured = capsys.readouterr()
+        assert "ieee14: rows from more than one seed" in captured.err
+        assert captured.out == ""
