@@ -62,7 +62,12 @@ class AttackVector:
 
 def craft_attack(H: DcJacobian, cfg: AttackConfig, rng: np.random.Generator) -> AttackVector:
     """Draw a sparse state perturbation c and return (c, a = H c)."""
-    n = H.n_states
+    c = _draw_state_shift(H.n_states, cfg, rng)
+    return AttackVector(c=c, a=H.matrix @ c)
+
+
+def _draw_state_shift(n: int, cfg: AttackConfig, rng: np.random.Generator) -> np.ndarray:
+    """The c of craft_attack, drawn from rng in the same order, without its image."""
     if cfg.max_targets > n:
         raise ValueError(f"max_targets {cfg.max_targets} exceeds {n} states")
     t = int(rng.integers(1, cfg.max_targets + 1))
@@ -71,7 +76,7 @@ def craft_attack(H: DcJacobian, cfg: AttackConfig, rng: np.random.Generator) -> 
     signs = rng.integers(0, 2, size=t) * 2 - 1
     c = np.zeros(n)
     c[targets] = signs * mags
-    return AttackVector(c=c, a=H.matrix @ c)
+    return c
 
 
 def inject(z: np.ndarray, atk: AttackVector) -> np.ndarray:
@@ -87,7 +92,8 @@ class Dataset:
     """Labeled measurement samples: X rows are feature vectors, y in {0, 1}.
 
     clean_X, when kept, holds the pre-attack measurements (equal to X on
-    clean rows), which makes residual-invariance checks cheap.
+    clean rows), which makes residual-invariance checks cheap. X need not be
+    C-contiguous: load_dataset returns it as a strided view of the parsed file.
     """
 
     X: np.ndarray
@@ -125,9 +131,10 @@ def generate_dataset(sys: BusSystem, n: int, attack_ratio: float, noise: NoiseMo
 
     Reproducible: each sample uses its own child stream of the master seed,
     so results do not depend on evaluation order. A sample's stream draws its
-    load factors, then its noise, then its attack; the DC solve and H x then
-    run once for the whole dataset, with one LU of the reduced susceptance
-    matrix.
+    load factors, then its noise (straight into its row of X), then its
+    attack's state shift c; the DC solve then runs once for the whole dataset,
+    with one LU of the reduced susceptance matrix. H x and H c are added into
+    X in row blocks, so X is the only full-size array (besides clean_X).
     """
     if n < 2:
         raise ValueError("need at least 2 samples")
@@ -141,31 +148,40 @@ def generate_dataset(sys: BusSystem, n: int, attack_ratio: float, noise: NoiseMo
     base = sys.injections()
     m = jac.n_measurements
 
+    # child k of ss is ss.spawn(n + 1)[k]; spawning one at a time holds none of the others
     ss = np.random.SeedSequence(seed)
-    children = ss.spawn(n + 1)
-    master = np.random.default_rng(children[0])
+    master = np.random.default_rng(ss.spawn(1)[0])
     n_attacked = int(math.floor(n * attack_ratio))
     order = master.permutation(n)
     attacked = np.zeros(n, dtype=bool)
     attacked[order[:n_attacked]] = True
 
     P = np.empty((n, sys.n_buses))
-    E = np.empty((n, m)) if noise.sigma > 0 else None
-    attacks = []                       # a = H c of each attacked row, in row order
+    X = np.empty((n, m))
+    C = np.empty((n_attacked, jac.n_states))   # c of each attacked row, in row order
+    j = 0
     for i in range(n):
-        rng = np.random.default_rng(children[i + 1])
+        rng = np.random.default_rng(ss.spawn(1)[0])
         P[i] = base * rng.uniform(1.0 - load_var, 1.0 + load_var, size=sys.n_buses)
-        if E is not None:
-            E[i] = rng.normal(0.0, noise.sigma, m)
+        if noise.sigma > 0:
+            X[i] = rng.normal(0.0, noise.sigma, m)
         if attacked[i]:
-            attacks.append(craft_attack(jac, cfg, rng).a)
+            C[j] = _draw_state_shift(jac.n_states, cfg, rng)
+            j += 1
     S = solve_dc_state(sys, jac, P)
-    X = np.matmul(jac.matrix, S[:, :, None])[:, :, 0]   # row i is H @ S[i], bit for bit
-    if E is not None:
-        X += E
+    del P
+    # each stacked row is the gemv H @ S[i]; noise + H x equals H x + noise bit for bit
+    for rows in _row_blocks(n):
+        Hx = np.matmul(jac.matrix, S[rows, :, None])[:, :, 0]
+        if noise.sigma > 0:
+            X[rows] += Hx
+        else:
+            X[rows] = Hx
+    del S
     clean = X.copy() if keep_clean else None
-    for i, a in zip(np.flatnonzero(attacked), attacks):
-        X[i] += a
+    attacked_rows = np.flatnonzero(attacked)
+    for rows in _row_blocks(n_attacked):
+        X[attacked_rows[rows]] += np.matmul(jac.matrix, C[rows, :, None])[:, :, 0]
     meta = {
         "system": sys.name,
         "n": n,
@@ -198,11 +214,34 @@ def stealthiness_report(ds: Dataset, H: DcJacobian, variance, threshold: float):
 
 
 def batch_residuals(Z: np.ndarray, H: DcJacobian, variance) -> np.ndarray:
-    """Squared residual norm of the WLS fit for every row of Z."""
+    """Squared residual norm of the WLS fit for every row of Z.
+
+    The estimate is solved once for all rows; the residual H x_hat - z (the
+    negated residual, so the same squares) is formed in blocks of at least
+    _BLOCK rows, so no full-size temporary of Z's shape is made.
+    """
     Z = np.asarray(Z, dtype=float)
     Xhat = wls_estimate(H, variance, Z.T).T
-    R = Z - Xhat @ H.matrix.T
-    return np.einsum("ij,ij->i", R, R)
+    out = np.empty(Z.shape[0])
+    for b in _row_blocks(Z.shape[0]):
+        R = Xhat[b] @ H.matrix.T
+        R -= Z[b]
+        out[b] = np.einsum("ij,ij->i", R, R)
+    return out
+
+
+_BLOCK = 256
+
+
+def _row_blocks(n: int):
+    """Slices cutting range(n) into max(1, n // _BLOCK) near-equal blocks, as
+    np.array_split does: every block has at least _BLOCK rows unless n < _BLOCK."""
+    k = max(1, n // _BLOCK)
+    q, r = divmod(n, k)
+    stop = 0
+    for i in range(k):
+        start, stop = stop, stop + q + (i < r)
+        yield slice(start, stop)
 
 
 # ------------------------------------------------------------- dataset files
@@ -229,7 +268,8 @@ def load_dataset(path) -> Dataset:
 
     The body is parsed in one np.loadtxt call. Every row must hold m finite
     features and an integer label in {0, 1}; when the parse or a check fails,
-    the rows are scanned one by one and the first bad line is named.
+    the rows are scanned one by one and the first bad line is named. X is the
+    view data[:, :m] of the parsed array, not a contiguous copy.
     """
     path = Path(path)
     if not path.exists():
@@ -276,7 +316,7 @@ def load_dataset(path) -> Dataset:
                     raise ValueError(f"{path} line {lineno}: {exc}") from None
         X, y = np.array(rows), np.array(labels, dtype=np.int64)
     else:
-        X, y = np.ascontiguousarray(data[:, :m]), data[:, m].astype(np.int64)
+        X, y = data[:, :m], data[:, m].astype(np.int64)
     meta = {}
     side = path.with_suffix(path.suffix + ".meta")
     if side.exists():

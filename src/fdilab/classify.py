@@ -69,7 +69,7 @@ def stratified_split(y: np.ndarray, val_fraction: float, seed: int):
     y = np.asarray(y)
     rng = np.random.default_rng(seed)
     val = []
-    for cls in np.unique(y):
+    for cls in sorted(set(y.tolist())):   # np.unique would import numpy.ma
         idx = np.flatnonzero(y == cls)
         rng.shuffle(idx)
         val.append(idx[:holdout_size(len(idx), val_fraction)])
@@ -470,7 +470,7 @@ def train_model(X, y, kind: str, cfg, mask=None, standardize: bool = True) -> Tr
         raise ValueError("training features must be finite")
     scaler = standardize_fit(Xm) if standardize else None
     Xs = standardize_apply(scaler, Xm) if standardize else Xm
-    if kind in ("svm", "ann") and len(np.unique(y)) < 2:
+    if kind in ("svm", "ann") and (y == y[:1]).all():   # one class (np.unique imports numpy.ma)
         raise ValueError("training data must contain both classes")
     if kind == "svm":
         params, converged = _svm_fit(Xs, y, cfg)

@@ -264,6 +264,13 @@ def cmd_benchmark(args) -> int:
         bench.check_spec(spec, cases.values())
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # the FS exports are named by case name, so two systems must not share one
+    by_name = {}
+    for system, case in cases.items():
+        if case.name in by_name:
+            raise ConfigError(f"systems {by_name[case.name]} and {system} both have case name "
+                              f"{case.name!r}, so their FS exports would overwrite each other")
+        by_name[case.name] = system
     out = _out_dir(cfg)
     # the manifest is a config file: the code line is a comment
     manifest = [f"# code = {_code_fingerprint()}"]

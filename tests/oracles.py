@@ -137,6 +137,58 @@ def generate_dataset_oracle(sys, n, attack_ratio, noise, load_var, cfg, seed,
     return X, attacked.astype(np.int64), clean
 
 
+def generate_dataset_bulk_oracle(sys, n, attack_ratio, noise, load_var, cfg, seed,
+                                 keep_clean=False):
+    """generate_dataset with every stage held in full: the whole (n, m) noise
+    matrix E, the list of attack images a = H c, then X = H S + E and the
+    attacked rows X[i] += a one at a time. Returns (X, y, clean_X or None).
+
+    The package adds the same terms into one X in row blocks, so the two must
+    agree bit for bit.
+    """
+    from fdilab import build_jacobian, craft_attack, default_attack_config, solve_dc_state
+
+    jac = build_jacobian(sys)
+    if cfg is None:
+        cfg = default_attack_config(jac.n_states)
+    base = sys.injections()
+    m = jac.n_measurements
+    children = np.random.SeedSequence(seed).spawn(n + 1)
+    master = np.random.default_rng(children[0])
+    n_attacked = int(math.floor(n * attack_ratio))
+    order = master.permutation(n)
+    attacked = np.zeros(n, dtype=bool)
+    attacked[order[:n_attacked]] = True
+    P = np.empty((n, sys.n_buses))
+    E = np.empty((n, m)) if noise.sigma > 0 else None
+    attacks = []
+    for i in range(n):
+        rng = np.random.default_rng(children[i + 1])
+        P[i] = base * rng.uniform(1.0 - load_var, 1.0 + load_var, size=sys.n_buses)
+        if E is not None:
+            E[i] = rng.normal(0.0, noise.sigma, m)
+        if attacked[i]:
+            attacks.append(craft_attack(jac, cfg, rng).a)
+    S = solve_dc_state(sys, jac, P)
+    X = np.matmul(jac.matrix, S[:, :, None])[:, :, 0]
+    if E is not None:
+        X += E
+    clean = X.copy() if keep_clean else None
+    for i, a in zip(np.flatnonzero(attacked), attacks):
+        X[i] += a
+    return X, attacked.astype(np.int64), clean
+
+
+def batch_residuals_oracle(Z, H, variance):
+    """Squared residual norms with the full residual matrix Z - X_hat H^T in one piece."""
+    from fdilab import wls_estimate
+
+    Z = np.asarray(Z, dtype=float)
+    Xhat = wls_estimate(H, variance, Z.T).T
+    R = Z - Xhat @ H.matrix.T
+    return np.einsum("ij,ij->i", R, R)
+
+
 def save_dataset_oracle(X, y, path):
     """The dataset CSV written one value at a time: header f1..fm,label, then
     each feature as repr(float) and the label as an int."""

@@ -1,5 +1,7 @@
 """Stealth identity, attack sampling and dataset generation/serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,13 @@ from fdilab import (
 )
 from fdilab.attack import batch_residuals
 
-from oracles import generate_dataset_oracle, random_connected_system, save_dataset_oracle
+from oracles import (
+    batch_residuals_oracle,
+    generate_dataset_bulk_oracle,
+    generate_dataset_oracle,
+    random_connected_system,
+    save_dataset_oracle,
+)
 
 
 SIGMA = 0.01
@@ -207,6 +215,100 @@ class TestGenerateMatchesOracle:
         np.testing.assert_allclose(ds.clean_X, clean, **tol)
         # the attacks themselves are drawn and added exactly as the oracle does
         assert np.array_equal(np.sign(ds.X - ds.clean_X), np.sign(X - clean))
+
+
+# sizes around the 256-row blocks of generate_dataset and batch_residuals
+BLOCK_EDGES = [1, 2, 255, 256, 257, 511, 512, 513, 777, 1030]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestBlockedPathsEqualBulkOracles:
+    """generate_dataset and batch_residuals work in row blocks; the bulk
+    versions they replaced are their oracles, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.booleans(), st.sampled_from(BLOCK_EDGES[1:]),
+           st.sampled_from([0.0, SIGMA]), st.sampled_from([0.0, 0.5, 1.0]), st.booleans())
+    def test_generate_equals_bulk_oracle(self, seed, ieee14, n, sigma, ratio, keep_clean):
+        sys = load_builtin("ieee14") if ieee14 else random_connected_system(
+            np.random.default_rng(seed))
+        args = (sys, n, ratio, NoiseModel(sigma), 0.1, None, seed)
+        ds = generate_dataset(*args, keep_clean=keep_clean)
+        X, y, clean = generate_dataset_bulk_oracle(*args, keep_clean=keep_clean)
+        assert _same_bits(ds.X, X)
+        assert np.array_equal(ds.y, y)
+        assert (ds.clean_X is None) if clean is None else _same_bits(ds.clean_X, clean)
+
+    @pytest.mark.parametrize("case, n", [("ieee118", 4097), ("ieee57", 1030)])
+    def test_generate_equals_bulk_oracle_at_size(self, case, n):
+        args = (load_builtin(case), n, 0.5, NoiseModel(SIGMA), 0.1, None, 21)
+        ds = generate_dataset(*args, keep_clean=True)
+        X, y, clean = generate_dataset_bulk_oracle(*args, keep_clean=True)
+        assert _same_bits(ds.X, X) and np.array_equal(ds.y, y) and _same_bits(ds.clean_X, clean)
+
+    @pytest.mark.parametrize("case", ["ieee14", "ieee57", "ieee118"])
+    def test_residuals_equal_bulk_oracle(self, case):
+        sys = load_builtin(case)
+        jac = build_jacobian(sys)
+        Z = generate_dataset(sys, 4097, 0.5, NoiseModel(SIGMA), 0.1, None, seed=22).X
+        for n in BLOCK_EDGES + [2047, 4097]:
+            assert _same_bits(batch_residuals(Z[:n], jac, SIGMA ** 2),
+                              batch_residuals_oracle(Z[:n], jac, SIGMA ** 2)), n
+
+    def test_residuals_of_a_reloaded_strided_X(self, tmp_path):
+        sys = load_builtin("ieee57")
+        jac = build_jacobian(sys)
+        save_dataset(generate_dataset(sys, 600, 0.5, NoiseModel(SIGMA), 0.1, None, seed=23),
+                     tmp_path / "ds.csv")
+        X = load_dataset(tmp_path / "ds.csv").X
+        assert not X.flags.c_contiguous  # a view into the parsed file
+        assert _same_bits(batch_residuals(X, jac, SIGMA ** 2),
+                          batch_residuals(np.ascontiguousarray(X), jac, SIGMA ** 2))
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of the memory tracemalloc sees while it runs
+    (numpy's arrays, not BLAS or LAPACK work buffers)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBounds:
+    """Peak traced memory of the dataset path on ieee118 at n = 4,000, in units
+    of the (n, m) measurement matrix: about one full-size copy per stage."""
+
+    ARGS = (4000, 0.5, NoiseModel(SIGMA), 0.1, None, 24)
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ieee118") / "ds.csv"
+        save_dataset(generate_dataset(load_builtin("ieee118"), *self.ARGS), path)
+        return path
+
+    def test_generate_peak(self):
+        sys = load_builtin("ieee118")
+        for keep_clean in (False, True):
+            ds, peak = _traced_peak(lambda: generate_dataset(sys, *self.ARGS,
+                                                             keep_clean=keep_clean))
+            assert peak <= 3.25 * ds.X.nbytes, keep_clean
+
+    def test_load_peak(self, saved):
+        ds, peak = _traced_peak(lambda: load_dataset(saved))
+        assert peak <= 1.5 * ds.X.nbytes
+
+    def test_residual_peak(self, saved):
+        jac = build_jacobian(load_builtin("ieee118"))
+        Z = load_dataset(saved).X
+        _, peak = _traced_peak(lambda: batch_residuals(Z, jac, SIGMA ** 2))
+        assert peak <= 1.0 * Z.nbytes
 
 
 class TestDatasetIO:

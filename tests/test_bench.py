@@ -3,6 +3,10 @@ matrix, and result serialization."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from fdilab import (
     run_matrix,
     train_model,
 )
-from fdilab import featsel
+from fdilab import bench, featsel
 from fdilab.attack import batch_residuals
 from fdilab.bench import RESULTS_HEADER, _experiment_datasets, dataset_fingerprint, subseed
 from fdilab.classify import AnnConfig, SvmConfig
@@ -265,6 +269,21 @@ class TestRunMatrix:
         ga_rows = [r for r in rows if r.fs_method == "ga"]
         assert len(ga_rows) == 2
         assert ga_rows[0].n_features == ga_rows[1].n_features
+
+    def test_leaves_numpy_ma_unimported(self):
+        # importing numpy.ma costs 14-18 ms once per process; np.unique pulls it in
+        code = ("import sys\n"
+                "from fdilab import ExperimentSpec, run_matrix\n"
+                "from fdilab.featsel import GaParams\n"
+                "run_matrix(ExperimentSpec(systems=('ieee14',), fs_methods=('none', 'ga'),\n"
+                "    classifiers=('knn',), n_train=120, n_test=60, seed=3, threads=1,\n"
+                "    ga=GaParams(population=8, iterations=3)))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(bench.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestResultsIO:

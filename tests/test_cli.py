@@ -387,6 +387,22 @@ class TestBenchmarkCmd:
         rows, fresh = (load_results(tmp_path / d / "results.csv") for d in ("bench", "fresh"))
         assert [r.accuracy for r in rows] == [r.accuracy for r in fresh]
 
+    def test_systems_sharing_a_case_name_are_config_error(self, tmp_path, capsys):
+        # FS exports are named fs_<case name>_<method>, so a/tri.csv and b/tri.csv would
+        # overwrite each other's
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / "tri.csv")
+            paths[-1].write_text(TRIANGLE)
+        out_dir = tmp_path / "bench"
+        assert run(["benchmark", "--systems", ",".join(map(str, paths)), "--fs", "none,ga",
+                    "--classifier", "knn", "--n-train", "80", "--n-test", "40",
+                    "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert str(paths[0]) in err and str(paths[1]) in err and "'tri'" in err
+        assert not (out_dir / "manifest.txt").exists()
+
     def test_unknown_system_is_config_error(self, tmp_path, capsys):
         assert run(["benchmark", "--systems", "ieee99", "--out-dir", str(tmp_path)]) == 1
         assert "no bundled case" in capsys.readouterr().err
