@@ -14,7 +14,6 @@ import functools
 import hashlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,7 +114,8 @@ def grid_search(X, y, spec: GridSearchSpec, cache: dict | None = None) -> GridSe
             best_acc = acc
             best_idx = idx
     if best_idx is None:
-        raise ValueError("every grid point failed")
+        errors = "; ".join(dict.fromkeys(err for _, _, err in rows))
+        raise ValueError(f"every grid point failed: {errors}")
     return GridSearchResult(best_config=spec.grid[best_idx], best_accuracy=best_acc,
                             rows=tuple(rows), from_cache=hits)
 
@@ -292,14 +292,19 @@ def run_matrix(spec: ExperimentSpec, fs_log: dict | None = None) -> list:
     independent per system; `threads` bounds the pool.
     fs_log, when given, collects {(system, fs): (FsResult, seconds)}.
     """
-    parallel = spec.threads > 1 and len(spec.systems) > 1
+    job = functools.partial(_fs_job, spec)
+    if spec.threads > 1 and len(spec.systems) > 1:
+        # imported here, so a serial run never loads concurrent.futures and logging
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
+            jobs = list(pool.map(job, spec.systems))
+    else:
+        jobs = map(job, spec.systems)
     rows = []
-    with ThreadPoolExecutor(max_workers=spec.threads if parallel else 1) as pool:
-        jobs = (pool.map if parallel else map)(functools.partial(_fs_job, spec), spec.systems)
-        for out_rows, fs_runs in jobs:  # in spec.systems order, as map keeps it
-            rows += out_rows
-            if fs_log is not None:
-                fs_log.update(fs_runs)
+    for out_rows, fs_runs in jobs:  # in spec.systems order, as map keeps it
+        rows += out_rows
+        if fs_log is not None:
+            fs_log.update(fs_runs)
     return rows
 
 

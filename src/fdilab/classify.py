@@ -139,10 +139,24 @@ class TrainedModel:
 # -------------------------------------------------------------------- kernel
 
 def _gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    """Gaussian kernel matrix between rows of A and rows of B."""
-    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
+    """Gaussian kernel matrix between rows of A and rows of B.
+
+    K = exp(-gamma max(|a|^2 + |b|^2 - 2 <a, b>, 0)) is built in place, so K is
+    the only (n, m) array: each element takes the same operations in the same
+    order as the one-expression form (tests/oracles.gram_oracle), bit for bit.
+    Only |a|^2 + |b|^2 is formed apart, for a block of rows of about 64 KB.
+    """
+    an = (A * A).sum(axis=1)
+    bn = (B * B).sum(axis=1)
+    K = A @ B.T
+    K *= 2.0
+    rows = max(1, 8192 // max(1, K.shape[1]))
+    for start in range(0, K.shape[0], rows):
+        blk = K[start:start + rows]
+        np.subtract(an[start:start + rows, None] + bn, blk, out=blk)
+    np.maximum(K, 0.0, out=K)
+    K *= -gamma
+    return np.exp(K, out=K)
 
 
 # ----------------------------------------------------------------------- SVM

@@ -203,11 +203,10 @@ def cmd_gridsearch(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     ds = _load_dataset_arg(args)
-    out = _out_dir(cfg)
     # cells are filed under the code fingerprint, so accuracies that other
     # code computed are never served
     code = _code_fingerprint()
-    cache_path = out / "gridsearch_cache.json"
+    cache_path = Path(cfg["out_dir"]) / "gridsearch_cache.json"
     cache = {}
     if cache_path.exists():
         try:
@@ -215,8 +214,12 @@ def cmd_gridsearch(args) -> int:
             cache = {key: float(acc) for key, acc in stored.items()}
         except (ValueError, TypeError, AttributeError) as exc:
             _ignore_corrupt_cache(cache_path, exc)
-    for kind, spec in zip(cfg["classifier"], specs):
-        res = bench.grid_search(ds.X, ds.y, spec, cache=cache)
+    try:  # every grid point failed: the dataset cannot train this classifier
+        results = [bench.grid_search(ds.X, ds.y, spec, cache=cache) for spec in specs]
+    except ValueError as exc:
+        raise ConfigError(f"{args.dataset}: {exc}") from None
+    out = _out_dir(cfg)
+    for kind, res in zip(cfg["classifier"], results):
         grid_csv = out / f"grid_{kind}.csv"
         with grid_csv.open("w", newline="") as fh:
             writer = csv.writer(fh)

@@ -239,6 +239,14 @@ def kernel_gaussian(x1, x2, gamma):
     return math.exp(-gamma * sum((float(a) - float(b)) ** 2 for a, b in zip(x1, x2)))
 
 
+def gram_oracle(A, B, gamma):
+    """Gaussian kernel matrix in one expression, with every (n, m) temporary
+    alive at once; classify._gram must equal it bit for bit."""
+    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-gamma * sq)
+
+
 def svm_dual_objective(alpha, K, y_pm):
     """W(alpha) = sum(alpha) - 0.5 sum_ij alpha_i alpha_j y_i y_j K_ij, in loops."""
     n = len(alpha)

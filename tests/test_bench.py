@@ -125,8 +125,10 @@ class TestGridSearch:
 
     def test_all_cells_failing_raises(self):
         X, y = tiny_dataset()
-        grid = (KnnConfig(k=10 ** 6),)
-        with pytest.raises(ValueError, match="every grid point failed"):
+        grid = (KnnConfig(k=10 ** 6), KnnConfig(k=10 ** 6 + 1), KnnConfig(k=10 ** 6))
+        with pytest.raises(ValueError, match=r"every grid point failed: k=1000000 exceeds "
+                                             r"training size \d+; k=1000001 exceeds "
+                                             r"training size \d+$"):
             grid_search(X, y, GridSearchSpec("knn", grid))
 
     def test_cache_reuse_and_isolation(self):
@@ -270,6 +272,15 @@ class TestRunMatrix:
         assert len(ga_rows) == 2
         assert ga_rows[0].n_features == ga_rows[1].n_features
 
+    @staticmethod
+    def _fresh_run(code: str) -> str:
+        """Stdout of `code` run in a new interpreter with only src/ on the path."""
+        src = str(Path(bench.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
     def test_leaves_numpy_ma_unimported(self):
         # importing numpy.ma costs 14-18 ms once per process; np.unique pulls it in
         code = ("import sys\n"
@@ -279,11 +290,17 @@ class TestRunMatrix:
                 "    classifiers=('knn',), n_train=120, n_test=60, seed=3, threads=1,\n"
                 "    ga=GaParams(population=8, iterations=3)))\n"
                 "print('numpy.ma' in sys.modules)\n")
-        src = str(Path(bench.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert self._fresh_run(code) == "False"
+
+    def test_serial_run_leaves_concurrent_futures_unimported(self):
+        # the thread pool (concurrent.futures, which imports logging) costs about
+        # 0.7 MB and 8 ms; only a run with threads > 1 and several systems uses it
+        code = ("import sys\n"
+                "from fdilab import ExperimentSpec, run_matrix\n"
+                "run_matrix(ExperimentSpec(systems=('ieee14',), fs_methods=('none',),\n"
+                "    classifiers=('svm', 'knn'), n_train=120, n_test=60, seed=3, threads=1))\n"
+                "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n")
+        assert self._fresh_run(code) == "[]"
 
 
 class TestResultsIO:

@@ -37,12 +37,14 @@ from oracles import (
     ann_fit_oracle,
     ann_loss_fd,
     duality_gap,
+    gram_oracle,
     kernel_gaussian,
     knn_oracle,
     sigmoid_oracle,
     svm_dual_objective as dual_obj_loops,
     svm_dual_oracle,
 )
+from test_attack import _traced_peak
 
 
 def blobs(n_per=20, spread=0.6, dim=4, seed=0):
@@ -133,6 +135,72 @@ class TestKernel:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             kernel_gaussian([1.0], [1.0, 2.0], 1.0)
+
+
+def _block_rows(m):
+    """Rows of _gram's |a|^2 + |b|^2 block for m columns of K: 64 KB, at least one."""
+    return max(1, 8192 // m)
+
+
+@st.composite
+def _gram_shapes(draw):
+    """(n, m, same): K's shape, with n around one and two blocks of rows; when
+    same, A is B, so n = m and K is 1 block up to n = 90, 2 at 91-128, 3 at 129."""
+    if draw(st.booleans()):
+        n = draw(st.one_of(st.integers(1, 200), st.sampled_from([89, 90, 91, 92, 128, 129])))
+        return n, n, True
+    m = draw(st.sampled_from([1, 2, 3, 34, 137, 1000, 4096, 8191, 8192, 8193]))
+    rows = _block_rows(m)
+    edges = [max(1, rows * k + e) for k in (1, 2) for e in (-1, 0, 1)]
+    return draw(st.one_of(st.sampled_from(edges), st.integers(1, 2 * rows + 2))), m, False
+
+
+class TestGramMatchesOracle:
+    """_gram builds K in place in row blocks; tests/oracles.gram_oracle is the
+    one-expression form it replaced, and the two agree byte for byte."""
+
+    @given(shape=_gram_shapes(), d=st.integers(1, 6), gamma=st.floats(1e-5, 2.0),
+           strided=st.booleans(), dup=st.booleans(), offset=st.sampled_from([0.0, 1e3]),
+           seed=st.integers(0, 2 ** 16))
+    @example(shape=(91, 91, True), d=3, gamma=2.0, strided=True, dup=True, offset=1e3, seed=0)
+    @example(shape=(8193, 1, False), d=1, gamma=1e-5, strided=False, dup=True, offset=0.0,
+             seed=1)
+    @settings(max_examples=80, deadline=None)
+    def test_bytes_equal_oracle(self, shape, d, gamma, strided, dup, offset, seed):
+        n, m, same = shape
+        rng = np.random.default_rng(seed)
+        wide = rng.normal(offset, 1.0, (n, 2 * d))
+        A = wide[:, ::2] if strided else np.ascontiguousarray(wide[:, :d])
+        B = A if same else rng.normal(offset, 1.0, (m, d))
+        if dup:   # repeated rows: distances of exactly 0, which the clamp at 0 meets
+            A[n // 2:] = A[0]
+            B[m // 2:] = A[0]
+        assert _gram(A, B, gamma).tobytes() == gram_oracle(A, B, gamma).tobytes()
+
+    def test_duplicate_rows_hit_the_clamp(self):
+        A = np.random.default_rng(4).normal(1e3, 1.0, (200, 7))
+        A[100:] = A[:100]
+        sq = (A * A).sum(axis=1)[:, None] + (A * A).sum(axis=1)[None, :] - 2.0 * (A @ A.T)
+        assert (sq < 0).any()   # rounding makes some squared distances negative
+        K = _gram(A, A, 0.5)
+        assert K.tobytes() == gram_oracle(A, A, 0.5).tobytes()
+        assert (K[sq < 0] == 1.0).all()
+
+    def test_fit_decision_and_dual_objective_on_the_oracle_kernel(self):
+        X, y = blobs(n_per=60, spread=1.2, dim=5, seed=8)
+        cfg = SvmConfig(C=10.0, gamma=0.3)
+        model = train_model(X, y, "svm", cfg)
+        p = model.params
+        Xs = classify._prepare(model, X)   # the masked, scaled rows train_model fitted on
+        y_pm = np.where(y == 1, 1.0, -1.0)
+        alpha, b, _ = _smo(gram_oracle(Xs, Xs, cfg.gamma), y_pm, cfg)
+        assert p["sv_alpha"].tobytes() == alpha[alpha > 1e-12].tobytes() and p["b"] == b
+        coef = p["sv_alpha"] * p["sv_y"]
+        Q = np.random.default_rng(9).normal(size=(300, 5))
+        want = coef @ gram_oracle(p["sv"], classify._prepare(model, Q), p["gamma"]) + b
+        assert svm_decision(model, Q).tobytes() == want.tobytes()
+        K = gram_oracle(p["sv"], p["sv"], p["gamma"])
+        assert svm_dual_objective(model) == float(p["sv_alpha"].sum() - 0.5 * coef @ K @ coef)
 
 
 class TestSvm:
@@ -245,6 +313,21 @@ class TestSvm:
         X = np.random.default_rng(0).normal(size=(10, 2))
         with pytest.raises(ValueError, match="both classes"):
             train_model(X, np.zeros(10, dtype=int), "svm", SvmConfig())
+
+
+class TestMemoryBounds:
+    """Peak traced memory of the SVM kernel path at n = 1,000, in units of the
+    n x n Gram K (8 MB), which is the only full-size array it holds."""
+
+    X, y = blobs(n_per=500, spread=1.5, dim=34, seed=10)
+
+    def test_gram_peak(self):
+        K, peak = _traced_peak(lambda: _gram(self.X, self.X, 0.1))
+        assert peak <= 1.1 * K.nbytes
+
+    def test_train_svm_peak(self):
+        _, peak = _traced_peak(lambda: train_model(self.X, self.y, "svm", SvmConfig()))
+        assert peak <= 1.4 * 8 * len(self.X) ** 2
 
 
 def knn_labels(train_X, train_y, k, X):

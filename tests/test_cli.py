@@ -214,6 +214,18 @@ class TestGridsearchCmd:
         assert run(["gridsearch", "--dataset", str(bad_label),
                     "--classifier", "knn", "--out-dir", str(tmp_path)]) == 1
 
+    def test_one_class_dataset_is_config_error(self, tmp_path, capsys):
+        ds_path = tmp_path / "ds.csv"
+        assert run(["generate", "--case", "ieee14", "--n", "40", "--attack-ratio", "0",
+                    "--out", str(ds_path), "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "gs"
+        assert run(["gridsearch", "--dataset", str(ds_path), "--classifier", "knn,svm",
+                    "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (f"fdilab: {ds_path}: every grid point failed: "
+                                           "training data must contain both classes\n")
+        assert not out_dir.exists()   # the KNN grid succeeded, but nothing is written
+
     def test_unknown_classifier_rejected(self, tmp_path):
         ds_path = tmp_path / "ds.csv"
         run(["generate", "--case", "ieee14", "--n", "30", "--seed", "0",
