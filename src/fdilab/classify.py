@@ -257,7 +257,7 @@ def svm_dual_objective(model: TrainedModel) -> float:
 
 # ----------------------------------------------------------------------- KNN
 
-KNN_WORK_BYTES = 1 << 20  # working set of one knn_votes chunk
+KNN_WORK_BYTES = 1 << 20  # one knn_votes Gram chunk
 
 
 def knn_votes(Q, B, train_y, k: int, masks) -> np.ndarray:
@@ -267,22 +267,30 @@ def knn_votes(Q, B, train_y, k: int, masks) -> np.ndarray:
     indices, and split votes go to class 0.
 
     Training rows b are ranked for a query q by g = |b|_w^2 - 2<q, b>_w, the
-    squared distance under the 0/1 mask w less the constant |q|_w^2. For a
-    chunk of query rows, g of every mask is one matrix product over U, the
-    union of the selected columns, plus |b|_w^2; chunks are sized so that g
-    and its partition copy fill about KNN_WORK_BYTES (at least one row).
+    squared distance under the 0/1 mask w less the constant |q|_w^2. Each
+    mask's g is one matrix product over that mask's own columns, with
+    |b|_w^2 as one more column ([-2q, 1] . [b, |b|_w^2]), in chunks of query
+    rows of about KNN_WORK_BYTES (at least one row). The training rows are
+    ordered class 1 first, so g splits into a class-1 block and a class-0
+    block, and each is partitioned in place at k. The k + 1 smallest g of a
+    row lie among the two blocks' k + 1 smallest, so those candidates give
+    the k-th and (k+1)-th smallest g, and the class-1 candidates at or below
+    the k-th are the votes.
 
     A (mask, query) pair is certified when the gap between the (k+1)-th and
     k-th smallest g exceeds 16 gamma M, with gamma = nu / (1 - nu),
-    nu = (|U| + 3) 2^-53 and M = |q|_w^2 + max_b |b|_w^2. The computed g is
-    within 3 gamma M of the exact g, and the distance d = sum w (q - b)^2
-    <= 2M that _knn_votes_direct computes is within 2 gamma M of the exact d
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1).
-    So on a certified pair the direct distances of the k rows below the gap
-    stay under all others by at least the gap less 10 gamma M and the
-    rounding of the gap and of M: the direct kernel takes the same k rows,
-    with no tie at the k-th place, and gives the same label. Query rows with
-    an uncertified pair (exact ties, near-duplicate training rows) are
+    nu = (|U| + 3) 2^-53, U the union of the batch's selected columns and
+    M = |q|_w^2 + max_b |b|_w^2. The computed g, a dot product of at most
+    |U| + 1 terms one of which is |b|_w^2 rounded, is within 3 gamma M of the
+    exact g, and the distance d = sum w (q - b)^2 <= 2M that
+    _knn_votes_direct sums over U is within 2 gamma M of the exact d
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1);
+    so nu is taken at |U|, not at the mask's own column count. On a
+    certified pair the direct distances of the k rows below the gap stay
+    under all others by at least the gap less 10 gamma M and the rounding of
+    the gap and of M: the direct kernel takes the same k rows, with no tie
+    at the k-th place, and gives the same label. Query rows with an
+    uncertified pair (exact ties, near-duplicate training rows) are
     recomputed by _knn_votes_direct, so the tie rules hold exactly.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
@@ -298,31 +306,51 @@ def knn_votes(Q, B, train_y, k: int, masks) -> np.ndarray:
     if k == n_b:
         return np.full((P, n_q), 2 * np.count_nonzero(ones) > k, dtype=np.int64)
     U = np.flatnonzero(masks.any(axis=0))
-    W = masks[:, U].astype(float)
-    # training rows of class 1 go first, so the votes are counted in a prefix
-    n_ones = np.count_nonzero(ones)
-    BuT = np.ascontiguousarray(B[np.argsort(~ones, kind="stable")][:, U].T)
-    Qu = Q[:, U]
-    bn = W @ (BuT * BuT)
+    n_1 = np.count_nonzero(ones)
+    order = np.argsort(~ones, kind="stable")
+    # U's columns as rows: training rows class 1 first, built a row block at a time
+    BuT = np.empty((len(U), n_b))
+    step = max(1, KNN_WORK_BYTES // (8 * max(1, B.shape[1])))
+    for start in range(0, n_b, step):
+        BuT[:, start:start + step] = B[order[start:start + step]].T[U]
+    QuT = Q.T[U]
     nu = (len(U) + 3) * np.finfo(float).eps / 2
-    margin = 16 * nu / (1 - nu) * (np.square(Qu) @ W.T + bn.max(axis=1))
-    rows = max(1, min(n_q, KNN_WORK_BYTES // (16 * P * n_b)))
-    g = np.empty((rows, P, n_b))
+    rows = max(1, min(n_q, KNN_WORK_BYTES // (8 * n_b)))
+    c1, c0 = min(n_1, k + 1), min(n_b - n_1, k + 1)
+    g = np.empty((rows, n_b))
+    cand = np.empty((rows, c1 + c0))
+    wide = np.count_nonzero(masks, axis=1).max() + 1
+    Bbuf, Qbuf = np.empty((wide, n_b)), np.empty((wide, n_q))
     out = np.empty((P, n_q), dtype=np.int64)
-    redo = []
-    for start in range(0, n_q, rows):
-        r = min(rows, n_q - start)
-        gc = g[:r]
-        np.matmul((Qu[start:start + r, None, :] * (-2.0 * W)).reshape(r * P, -1), BuT,
-                  out=gc.reshape(r * P, n_b))
-        gc += bn
-        part = np.partition(gc, k, axis=-1)
-        kth = part[..., :k].max(axis=-1)
-        sure = part[..., k] - kth > margin[start:start + r]
-        votes = np.count_nonzero(gc[..., :n_ones] <= kth[..., None], axis=-1)
-        out[:, start:start + r] = (2 * votes > k).T
-        redo.extend(start + np.flatnonzero(~sure.all(axis=1)))
-    if redo:
+    sure = np.ones(n_q, dtype=bool)
+    for p, mask in enumerate(masks[:, U]):
+        # g = [-2q, 1] . [b, |b|_w^2] over the mask's c columns
+        cols = np.flatnonzero(mask)
+        c = len(cols)
+        BmT, QmT = Bbuf[:c + 1], Qbuf[:c + 1]
+        np.take(BuT, cols, axis=0, out=BmT[:c], mode="clip")  # "raise" would buffer out
+        np.take(QuT, cols, axis=0, out=QmT[:c], mode="clip")
+        np.einsum("ij,ij->j", BmT[:c], BmT[:c], out=BmT[c])
+        margin = np.einsum("ij,ij->j", QmT[:c], QmT[:c])
+        margin += BmT[c].max()
+        margin *= 16 * nu / (1 - nu)
+        QmT[:c] *= -2.0
+        QmT[c] = 1.0
+        for start in range(0, n_q, rows):
+            r = min(rows, n_q - start)
+            gc, cc = g[:r], cand[:r]
+            np.matmul(QmT[:, start:start + r].T, BmT, out=gc)
+            for block in (gc[:, :n_1], gc[:, n_1:]):
+                if block.shape[1] > k + 1:
+                    block.partition(k, axis=1)
+            cc[:, :c1] = gc[:, :c1]
+            cc[:, c1:] = gc[:, n_1:n_1 + c0]
+            sel = np.partition(cc, (k - 1, k), axis=1)
+            kth = sel[:, k - 1]
+            sure[start:start + r] &= sel[:, k] - kth > margin[start:start + r]
+            out[p, start:start + r] = 2 * (cc[:, :c1] <= kth[:, None]).sum(axis=1) > k
+    redo = np.flatnonzero(~sure)
+    if redo.size:
         out[:, redo] = _knn_votes_direct(Q[redo], B, train_y, k, masks)
     return out
 
@@ -473,9 +501,12 @@ def accuracy(predictions, truth) -> float:
 def train_model(X, y, kind: str, cfg, mask=None, standardize: bool = True) -> TrainedModel:
     """Mask features, fit the scaler on the training rows, train a classifier."""
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise ValueError("X must be 2-D with one label per row")
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    y = y.astype(np.int64)
     mask = np.ones(X.shape[1], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if mask.shape != (X.shape[1],) or not mask.any():
         raise ValueError("mask must select at least one feature")
@@ -500,12 +531,17 @@ def train_model(X, y, kind: str, cfg, mask=None, standardize: bool = True) -> Tr
 
 
 def _prepare(model: TrainedModel, X) -> np.ndarray:
-    """Apply the model's feature mask and scaler to raw feature rows."""
+    """Apply the model's feature mask and scaler to raw feature rows.
+
+    Full-width and pre-masked rows leave in the Fortran layout that X[:, mask]
+    gives, so both take the same BLAS path and round alike.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] == model.mask.shape[0]:
         X = X[:, model.mask]
     elif X.shape[1] != int(model.mask.sum()):
         raise ValueError("feature count matches neither the full nor the masked space")
+    X = np.asfortranarray(X)
     if not np.isfinite(X).all():
         raise ValueError("query features must be finite")
     return standardize_apply(model.scaler, X) if model.scaler is not None else X

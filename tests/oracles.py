@@ -210,6 +210,49 @@ def knn_oracle(train_X, train_y, k, x):
     return 1 if ones > zeros else 0
 
 
+def knn_votes_union_oracle(Q, B, train_y, k, masks, work_bytes=1 << 20):
+    """knn_votes as one Gram product per query chunk over U, the union of the
+    masks' columns: every mask's g = |b|_w^2 - 2<q, b>_w comes from one GEMM
+    whose zero weights drop the unselected columns, a partition copy gives
+    the k-th and (k+1)-th smallest g, and a second pass over the class-1
+    prefix counts the votes. Same certificate and the same fallback to
+    _knn_votes_direct as the package kernel, so the labels agree."""
+    from fdilab.classify import _knn_votes_direct
+
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    B = np.asarray(B, dtype=float)
+    ones = np.asarray(train_y) == 1
+    masks = np.atleast_2d(np.asarray(masks, dtype=bool))
+    n_b = B.shape[0]
+    P, n_q = masks.shape[0], Q.shape[0]
+    if k == n_b:
+        return np.full((P, n_q), 2 * np.count_nonzero(ones) > k, dtype=np.int64)
+    U = np.flatnonzero(masks.any(axis=0))
+    W = masks[:, U].astype(float)
+    n_ones = np.count_nonzero(ones)
+    BuT = np.ascontiguousarray(B[np.argsort(~ones, kind="stable")][:, U].T)
+    Qu = Q[:, U]
+    bn = W @ (BuT * BuT)
+    nu = (len(U) + 3) * np.finfo(float).eps / 2
+    margin = 16 * nu / (1 - nu) * (np.square(Qu) @ W.T + bn.max(axis=1))
+    rows = max(1, min(n_q, work_bytes // (16 * P * n_b)))
+    out = np.empty((P, n_q), dtype=np.int64)
+    redo = []
+    for start in range(0, n_q, rows):
+        r = min(rows, n_q - start)
+        g = (Qu[start:start + r, None, :] * (-2.0 * W)).reshape(r * P, -1) @ BuT
+        g = g.reshape(r, P, n_b) + bn
+        part = np.partition(g, k, axis=-1)
+        kth = part[..., :k].max(axis=-1)
+        sure = part[..., k] - kth > margin[start:start + r]
+        votes = np.count_nonzero(g[..., :n_ones] <= kth[..., None], axis=-1)
+        out[:, start:start + r] = (2 * votes > k).T
+        redo.extend(start + np.flatnonzero(~sure.all(axis=1)))
+    if redo:
+        out[:, redo] = _knn_votes_direct(Q[redo], B, train_y, k, masks)
+    return out
+
+
 def knn_fitness_oracle(mask, X_train, y_train, X_val, y_val, k, standardize=True):
     """Wrapper fitness the per-mask way: slice the masked columns, fit the
     scaler on them, build the full val x train x features difference tensor

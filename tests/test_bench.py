@@ -131,6 +131,14 @@ class TestGridSearch:
                                              r"training size \d+$"):
             grid_search(X, y, GridSearchSpec("knn", grid))
 
+    def test_labels_outside_zero_one_fail_every_point(self):
+        X, y = tiny_dataset()
+        for kind, grid in (("knn", (KnnConfig(k=3),)), ("svm", (SvmConfig(),)),
+                           ("ann", (AnnConfig(epochs=2),))):
+            with pytest.raises(ValueError, match=r"^every grid point failed: "
+                                                 r"labels must be 0 or 1$"):
+                grid_search(X, 2 * y, GridSearchSpec(kind, grid))
+
     def test_cache_reuse_and_isolation(self):
         X, y = tiny_dataset()
         grid = tuple(KnnConfig(k=k) for k in (1, 3, 5))

@@ -18,6 +18,7 @@ from fdilab import (
     train_model,
 )
 from fdilab import classify
+from fdilab.featsel import fitness_batch, make_fitness_context
 from fdilab.classify import (
     _gram,
     _smo,
@@ -40,6 +41,7 @@ from oracles import (
     gram_oracle,
     kernel_gaussian,
     knn_oracle,
+    knn_votes_union_oracle,
     sigmoid_oracle,
     svm_dual_objective as dual_obj_loops,
     svm_dual_oracle,
@@ -317,7 +319,8 @@ class TestSvm:
 
 class TestMemoryBounds:
     """Peak traced memory of the SVM kernel path at n = 1,000, in units of the
-    n x n Gram K (8 MB), which is the only full-size array it holds."""
+    n x n Gram K (8 MB), which is the only full-size array it holds, and of one
+    knn_votes call at 118-bus width."""
 
     X, y = blobs(n_per=500, spread=1.5, dim=34, seed=10)
 
@@ -328,6 +331,23 @@ class TestMemoryBounds:
     def test_train_svm_peak(self):
         _, peak = _traced_peak(lambda: train_model(self.X, self.y, "svm", SvmConfig()))
         assert peak <= 1.4 * 8 * len(self.X) ** 2
+
+    def test_knn_votes_peak(self):
+        # the 118-bus wrapper split: 1,600 training and 400 query rows of 304
+        # columns; masks of 110 columns whose union is every column from 3 masks on
+        rng = np.random.default_rng(11)
+        n_b, n_q, n_f = 1600, 400, 304
+        B, Q = rng.normal(size=(n_b, n_f)), rng.normal(size=(n_q, n_f))
+        y = rng.integers(0, 2, n_b)
+        masks = np.zeros((20, n_f), dtype=bool)
+        for p in range(20):
+            masks[p, (110 * p + np.arange(110)) % n_f] = True
+        peaks = [_traced_peak(lambda: knn_votes(Q, B, y, 12, masks[:P]))[1] for P in (5, 20)]
+        # the class-sorted training rows over U (8 n_f n_b bytes), then a few
+        # budgets: the Gram chunk, the query rows over U, one mask's columns
+        assert peaks[1] <= 4 * classify.KNN_WORK_BYTES + 8 * n_f * n_b
+        # 15 more masks add only their 15 rows of labels
+        assert peaks[1] - peaks[0] <= 2 * 8 * 15 * n_q
 
 
 def knn_labels(train_X, train_y, k, X):
@@ -451,12 +471,54 @@ class TestKnn:
             mp.setattr(classify, "KNN_WORK_BYTES", work_bytes)
             mp.setattr(classify, "_knn_votes_direct", counted)
             got = knn_votes(Q, B, y, k, masks)
-            want = direct(Q, B, y, k, masks)
-        assert got.tolist() == want.tolist()
-        for mask, row in zip(masks, got):
-            assert row.tolist() == [knn_oracle(B[:, mask], y, k, q) for q in Q[:, mask]]
+        self._assert_labels(got, Q, B, y, k, masks, work_bytes)
         if kind == "continuous" or k == n_b:
             assert calls == []
+
+    @staticmethod
+    def _assert_labels(got, Q, B, y, k, masks, work_bytes=classify.KNN_WORK_BYTES):
+        """got equals the direct kernel, the union-Gram kernel it replaced and
+        the brute-force oracle on each mask."""
+        assert got.tolist() == classify._knn_votes_direct(Q, B, y, k, masks).tolist()
+        assert got.tolist() == knn_votes_union_oracle(Q, B, y, k, masks, work_bytes).tolist()
+        for mask, row in zip(masks, got):
+            assert row.tolist() == [knn_oracle(B[:, mask], y, k, q) for q in Q[:, mask]]
+
+    @pytest.mark.parametrize("kind", ["continuous", "grid"])
+    @pytest.mark.parametrize("n_ones", [0, 3, 7, 8, 17, 20])
+    def test_class_blocks_of_any_size(self, kind, n_ones):
+        # k = 7 of 20 rows: a class may be empty, smaller than k + 1, or all rows
+        B, Q = self._case(kind, 26, 20, 3, 8)
+        y = np.zeros(20, dtype=np.int64)
+        y[np.random.default_rng(n_ones).permutation(20)[:n_ones]] = 1
+        masks = np.array([[True, True, True], [True, False, True], [False, True, False]])
+        got = knn_votes(Q, B, y, 7, masks)
+        self._assert_labels(got, Q, B, y, 7, masks)
+        if n_ones in (0, 20):
+            assert (got == n_ones // 20).all()
+
+    def test_empty_mask_row_votes_the_lowest_indices(self):
+        # every training row is at distance 0: all tie, so rows 0..k-1 vote
+        B, Q = self._case("continuous", 27, 20, 3, 6)
+        y = np.array([0, 0, 1, 1, 1] + [1, 0] * 7 + [0])
+        for masks in ([[False, False, False], [True, False, True]], [[False, False, False]]):
+            masks = np.array(masks)
+            for k, label in ((3, 0), (5, 1)):
+                got = knn_votes(Q, B, y, k, masks)
+                assert (got[0] == label).all()
+                self._assert_labels(got, Q, B, y, k, masks)
+
+    @pytest.mark.parametrize("integer_data", [False, True])
+    def test_disjoint_masks_score_as_alone(self, integer_data):
+        rng = np.random.default_rng(28)
+        X = rng.integers(0, 3, (80, 6)).astype(float) if integer_data else rng.normal(size=(80, 6))
+        y = rng.integers(0, 2, 80)
+        masks = np.repeat(np.eye(3, dtype=bool), 2, axis=1)  # columns {0, 1}, {2, 3}, {4, 5}
+
+        def ctx():
+            return make_fitness_context(X, y, config=KnnConfig(k=5), seed=1,
+                                        standardize=not integer_data)
+        assert fitness_batch(masks, ctx()) == [fitness_batch([m], ctx())[0] for m in masks]
 
     @pytest.mark.parametrize("kind", ["grid", "scaled grid", "duplicates", "near duplicates"])
     def test_ties_fall_back_to_direct_kernel(self, monkeypatch, kind):
@@ -647,6 +709,33 @@ class TestCommonSurface:
         # a non-finite value outside the mask is never read
         mask = np.array([True, False, True, True])
         assert predict(train_model(bad, y, kind, cfg, mask=mask), X).shape == y.shape
+
+    @pytest.mark.parametrize("kind, cfg", [
+        ("svm", SvmConfig(C=1.0, gamma=0.5)),
+        ("knn", KnnConfig(k=3)),
+        ("ann", AnnConfig(epochs=5)),
+    ])
+    def test_labels_outside_zero_one_rejected(self, kind, cfg):
+        X, y = blobs(seed=19)
+        for bad in (2 * y, y - 1, y + 0.5):
+            with pytest.raises(ValueError, match="labels must be 0 or 1"):
+                train_model(X, bad, kind, cfg)
+
+    def test_full_and_premasked_queries_round_alike(self):
+        # one layout for every caller: before, 171 of these 300 SVM values
+        # differed in the last bits between full-width and C-ordered queries
+        rng = np.random.default_rng(34)
+        X = rng.normal(size=(300, 34))
+        y = (X[:, 0] + 0.5 * rng.normal(size=300) > 0).astype(np.int64)
+        mask = rng.random(34) < 0.6
+        Q = rng.normal(size=(300, 34))
+        svm = train_model(X, y, "svm", SvmConfig(C=1.0, gamma=0.1), mask=mask)
+        ann = train_model(X, y, "ann", AnnConfig(epochs=5), mask=mask)
+        want_svm = svm_decision(svm, Q).tobytes()
+        want_ann = ann_forward(ann.params, classify._prepare(ann, Q)).tobytes()
+        for rows in (np.ascontiguousarray(Q[:, mask]), np.asfortranarray(Q[:, mask])):
+            assert svm_decision(svm, rows).tobytes() == want_svm
+            assert ann_forward(ann.params, classify._prepare(ann, rows)).tobytes() == want_ann
 
     def test_unknown_kind(self):
         X, y = blobs(seed=1)
