@@ -186,8 +186,8 @@ class ExperimentSpec:
             if fs != "none" and fs not in featsel.SEARCHERS:
                 raise ValueError(f"unknown FS method {fs!r} (use none, bcs, bpso, ga)")
         for kind in self.classifiers:
-            if kind not in ("svm", "knn", "ann"):
-                raise ValueError(f"unknown classifier {kind!r} (use svm, knn, ann)")
+            if kind not in classify.CONFIGS:
+                raise ValueError(f"unknown classifier {kind!r} (use {', '.join(classify.CONFIGS)})")
         for what, names in (("system", self.systems), ("FS method", self.fs_methods),
                             ("classifier", self.classifiers)):
             if len(set(names)) < len(names):

@@ -125,6 +125,9 @@ class AnnConfig:
             raise ValueError("epochs and batch must be at least 1")
 
 
+CONFIGS = {"svm": SvmConfig, "knn": KnnConfig, "ann": AnnConfig}
+
+
 @dataclass(frozen=True)
 class TrainedModel:
     """Fitted classifier state plus the preprocessing it was fitted with."""
@@ -257,7 +260,70 @@ def svm_dual_objective(model: TrainedModel) -> float:
 
 # ----------------------------------------------------------------------- KNN
 
-KNN_WORK_BYTES = 1 << 20  # one knn_votes Gram chunk
+KNN_WORK_BYTES = 1 << 20  # one knn_votes Gram chunk, or row block of its training copy
+
+
+class KnnBlocks:
+    """The rows of knn_votes(Q, B, train_y, ...) laid out once for any number of
+    calls: BT holds B's columns as rows, class 1 first (the first n_1), copied
+    a row block of about KNN_WORK_BYTES at a time; Q's columns are read through
+    its transpose, a view. Q, B and train_y are kept for the fallback."""
+
+    def __init__(self, Q, B, train_y):
+        self.Q = np.atleast_2d(np.asarray(Q, dtype=float))
+        self.B = np.asarray(B, dtype=float)
+        self.train_y = np.asarray(train_y)
+        ones = self.train_y == 1
+        self.n_1 = int(np.count_nonzero(ones))
+        order = np.argsort(~ones, kind="stable")
+        self.BT = np.empty(self.B.shape[::-1])
+        step = max(1, KNN_WORK_BYTES // (8 * max(1, self.B.shape[1])))
+        for start in range(0, len(order), step):
+            self.BT[:, start:start + step] = self.B[order[start:start + step]].T
+
+    def votes(self, k: int, masks) -> np.ndarray:
+        """knn_votes of the held rows."""
+        masks = np.atleast_2d(np.asarray(masks, dtype=bool))
+        n_b, n_1 = self.B.shape[0], self.n_1
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        if k > n_b:
+            raise ValueError(f"k={k} exceeds training size {n_b}")
+        P, n_q = masks.shape[0], self.Q.shape[0]
+        h = k // 2 + 1  # the class-1 votes of a label 1
+        if n_1 < h or n_b - n_1 < k - h + 1:
+            return np.full((P, n_q), n_1 >= h, dtype=np.int64)
+        nu = (np.count_nonzero(masks.any(axis=0)) + 3) * np.finfo(float).eps / 2
+        rows = max(1, min(n_q, KNN_WORK_BYTES // (8 * n_b)))
+        g = np.empty((rows, n_b))
+        wide = np.count_nonzero(masks, axis=1).max() + 1
+        Bbuf, Qbuf = np.empty((wide, n_b)), np.empty((wide, n_q))
+        out = np.empty((P, n_q), dtype=np.int64)
+        sure = np.ones(n_q, dtype=bool)
+        for p, mask in enumerate(masks):
+            # g = [-2q, 1] . [b, |b|_w^2] over the mask's c columns
+            cols = np.flatnonzero(mask)
+            c = len(cols)
+            BmT, QmT = Bbuf[:c + 1], Qbuf[:c + 1]
+            np.take(self.BT, cols, axis=0, out=BmT[:c], mode="clip")  # "raise" would buffer out
+            np.take(self.Q.T, cols, axis=0, out=QmT[:c], mode="clip")
+            np.einsum("ij,ij->j", BmT[:c], BmT[:c], out=BmT[c])
+            margin = np.einsum("ij,ij->j", QmT[:c], QmT[:c]) + BmT[c].max()
+            margin *= 16 * nu / (1 - nu)
+            QmT[:c] *= -2.0
+            QmT[c] = 1.0
+            for start in range(0, n_q, rows):
+                r = min(rows, n_q - start)
+                gc = np.matmul(QmT[:, start:start + r].T, BmT, out=g[:r])
+                gc[:, :n_1].partition(h - 1, axis=1)
+                gc[:, n_1:].partition(k - h, axis=1)
+                diff = gc[:, n_1 + k - h] - gc[:, h - 1]  # a_0 - a_1
+                sure[start:start + r] &= np.abs(diff) > margin[start:start + r]
+                out[p, start:start + r] = diff > 0
+        redo = np.flatnonzero(~sure)
+        if redo.size:
+            out[:, redo] = _knn_votes_direct(self.Q[redo], self.B, self.train_y, k, masks)
+        return out
 
 
 def knn_votes(Q, B, train_y, k: int, masks) -> np.ndarray:
@@ -267,92 +333,28 @@ def knn_votes(Q, B, train_y, k: int, masks) -> np.ndarray:
     indices, and split votes go to class 0.
 
     Training rows b are ranked for a query q by g = |b|_w^2 - 2<q, b>_w, the
-    squared distance under the 0/1 mask w less the constant |q|_w^2. Each
-    mask's g is one matrix product over that mask's own columns, with
-    |b|_w^2 as one more column ([-2q, 1] . [b, |b|_w^2]), in chunks of query
-    rows of about KNN_WORK_BYTES (at least one row). The training rows are
-    ordered class 1 first, so g splits into a class-1 block and a class-0
-    block, and each is partitioned in place at k. The k + 1 smallest g of a
-    row lie among the two blocks' k + 1 smallest, so those candidates give
-    the k-th and (k+1)-th smallest g, and the class-1 candidates at or below
-    the k-th are the votes.
+    squared distance under the 0/1 mask w less |q|_w^2: one matrix product
+    [-2q, 1] . [b, |b|_w^2] per mask over its own columns, in chunks of about
+    KNN_WORK_BYTES (at least one query row). Of the k nearest rows at least
+    h = k // 2 + 1 are class 1 or at least k - h + 1 are class 0, never both,
+    so the label is 1 iff a_1 < a_0: the h-th smallest g of the class-1 block
+    and the (k - h + 1)-th of the class-0 block, each partitioned in place.
+    Too few class-1 (class-0) rows for that make every label 0 (1).
 
-    A (mask, query) pair is certified when the gap between the (k+1)-th and
-    k-th smallest g exceeds 16 gamma M, with gamma = nu / (1 - nu),
-    nu = (|U| + 3) 2^-53, U the union of the batch's selected columns and
-    M = |q|_w^2 + max_b |b|_w^2. The computed g, a dot product of at most
-    |U| + 1 terms one of which is |b|_w^2 rounded, is within 3 gamma M of the
-    exact g, and the distance d = sum w (q - b)^2 <= 2M that
-    _knn_votes_direct sums over U is within 2 gamma M of the exact d
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1);
-    so nu is taken at |U|, not at the mask's own column count. On a
-    certified pair the direct distances of the k rows below the gap stay
-    under all others by at least the gap less 10 gamma M and the rounding of
-    the gap and of M: the direct kernel takes the same k rows, with no tie
-    at the k-th place, and gives the same label. Query rows with an
-    uncertified pair (exact ties, near-duplicate training rows) are
-    recomputed by _knn_votes_direct, so the tie rules hold exactly.
+    A (mask, query) pair is certified when |a_0 - a_1| > 16 gamma M, with
+    gamma = nu / (1 - nu), nu = (|U| + 3) 2^-53, U the union of the batch's
+    columns and M = |q|_w^2 + max_b |b|_w^2. A computed g (at most |U| + 1
+    terms, one of them |b|_w^2 rounded) is within 3 gamma M of the exact g,
+    and a distance d <= 2M that _knn_votes_direct sums over U is within
+    2 gamma M of the exact d (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 3.1), so nu is taken at |U|. An order statistic
+    moves by at most its entries' largest error, so the direct kernel's two
+    order statistics differ by a_0 - a_1 to within 10 gamma M: the same
+    sign, no tie, and by the rank argument the same label under any tie
+    rule. Rows with an uncertified pair (exact ties, near-duplicate training
+    rows) are recomputed by _knn_votes_direct, so the tie rules hold exactly.
     """
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    B = np.asarray(B, dtype=float)
-    ones = np.asarray(train_y) == 1
-    masks = np.atleast_2d(np.asarray(masks, dtype=bool))
-    n_b = B.shape[0]
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k > n_b:
-        raise ValueError(f"k={k} exceeds training size {n_b}")
-    P, n_q = masks.shape[0], Q.shape[0]
-    if k == n_b:
-        return np.full((P, n_q), 2 * np.count_nonzero(ones) > k, dtype=np.int64)
-    U = np.flatnonzero(masks.any(axis=0))
-    n_1 = np.count_nonzero(ones)
-    order = np.argsort(~ones, kind="stable")
-    # U's columns as rows: training rows class 1 first, built a row block at a time
-    BuT = np.empty((len(U), n_b))
-    step = max(1, KNN_WORK_BYTES // (8 * max(1, B.shape[1])))
-    for start in range(0, n_b, step):
-        BuT[:, start:start + step] = B[order[start:start + step]].T[U]
-    QuT = Q.T[U]
-    nu = (len(U) + 3) * np.finfo(float).eps / 2
-    rows = max(1, min(n_q, KNN_WORK_BYTES // (8 * n_b)))
-    c1, c0 = min(n_1, k + 1), min(n_b - n_1, k + 1)
-    g = np.empty((rows, n_b))
-    cand = np.empty((rows, c1 + c0))
-    wide = np.count_nonzero(masks, axis=1).max() + 1
-    Bbuf, Qbuf = np.empty((wide, n_b)), np.empty((wide, n_q))
-    out = np.empty((P, n_q), dtype=np.int64)
-    sure = np.ones(n_q, dtype=bool)
-    for p, mask in enumerate(masks[:, U]):
-        # g = [-2q, 1] . [b, |b|_w^2] over the mask's c columns
-        cols = np.flatnonzero(mask)
-        c = len(cols)
-        BmT, QmT = Bbuf[:c + 1], Qbuf[:c + 1]
-        np.take(BuT, cols, axis=0, out=BmT[:c], mode="clip")  # "raise" would buffer out
-        np.take(QuT, cols, axis=0, out=QmT[:c], mode="clip")
-        np.einsum("ij,ij->j", BmT[:c], BmT[:c], out=BmT[c])
-        margin = np.einsum("ij,ij->j", QmT[:c], QmT[:c])
-        margin += BmT[c].max()
-        margin *= 16 * nu / (1 - nu)
-        QmT[:c] *= -2.0
-        QmT[c] = 1.0
-        for start in range(0, n_q, rows):
-            r = min(rows, n_q - start)
-            gc, cc = g[:r], cand[:r]
-            np.matmul(QmT[:, start:start + r].T, BmT, out=gc)
-            for block in (gc[:, :n_1], gc[:, n_1:]):
-                if block.shape[1] > k + 1:
-                    block.partition(k, axis=1)
-            cc[:, :c1] = gc[:, :c1]
-            cc[:, c1:] = gc[:, n_1:n_1 + c0]
-            sel = np.partition(cc, (k - 1, k), axis=1)
-            kth = sel[:, k - 1]
-            sure[start:start + r] &= sel[:, k] - kth > margin[start:start + r]
-            out[p, start:start + r] = 2 * (cc[:, :c1] <= kth[:, None]).sum(axis=1) > k
-    redo = np.flatnonzero(~sure)
-    if redo.size:
-        out[:, redo] = _knn_votes_direct(Q[redo], B, train_y, k, masks)
-    return out
+    return KnnBlocks(Q, B, train_y).votes(k, masks)
 
 
 def _knn_votes_direct(Q, B, train_y, k: int, masks) -> np.ndarray:

@@ -15,6 +15,7 @@ resolved configuration to a manifest so it can be reproduced. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -33,6 +34,15 @@ class ConfigError(Exception):
 
 class _UsageError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _config_errors():
+    """Report a ValueError or FileNotFoundError of the block as a ConfigError."""
+    try:
+        yield
+    except (FileNotFoundError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,19 +150,15 @@ def _experiment_spec(cfg: dict) -> bench.ExperimentSpec:
             fields[name] = cfg[key]
         else:
             sections.setdefault(section, {})[name] = cfg[key]
-    try:
+    with _config_errors():
         for section, kwargs in sections.items():
             fields[section] = type(getattr(_DEFAULT_SPEC, section))(**kwargs)
         return bench.ExperimentSpec(**fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _case(name: str) -> powergrid.BusSystem:
-    try:
+    with _config_errors():
         return powergrid.resolve_case(name)
-    except (FileNotFoundError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -175,14 +181,12 @@ def cmd_generate(args) -> int:
     sys_ = _case(cfg["case"])
     if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
         raise ConfigError(f"--out: {args.out} is not a file in an existing directory")
-    try:
+    with _config_errors():
         noise = NoiseModel(cfg["noise_sigma"])
         atk_cfg = attack.default_attack_config(sys_.n_states, cfg["max_targets"],
                                                cfg["magnitude_low"], cfg["magnitude_high"])
         ds = attack.generate_dataset(sys_, cfg["n"], cfg["attack_ratio"], noise,
                                      cfg["load_var"], atk_cfg, cfg["seed"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     dest = (Path(args.out) if args.out
             else _out_dir(cfg) / f"{sys_.name}_n{cfg['n']}_seed{cfg['seed']}.csv")
     ds.meta["case"] = cfg["case"]  # `system` holds only the stem of a case CSV
@@ -195,13 +199,11 @@ def cmd_generate(args) -> int:
 
 def cmd_gridsearch(args) -> int:
     cfg = _resolve(args)
-    try:
+    with _config_errors():
         specs = [bench.GridSearchSpec(classifier=kind, grid=bench.default_grid(kind),
                                       holdout=cfg["holdout"], seed=cfg["seed"],
                                       standardize=cfg["standardize"])
                  for kind in cfg["classifier"]]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     ds = _load_dataset_arg(args)
     # cells are filed under the code fingerprint, so accuracies that other
     # code computed are never served
@@ -245,10 +247,8 @@ def cmd_select(args) -> int:
     if not methods:
         raise ConfigError("nothing to do: --fs selects no search method")
     ds = _load_dataset_arg(args)
-    try:
+    with _config_errors():
         search = bench.wrapper_searches(spec, ds.meta.get("system", "dataset"), ds.X, ds.y)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     out = _out_dir(cfg)
     labels = _row_labels_for(ds)
     for method in methods:
@@ -263,10 +263,8 @@ def cmd_benchmark(args) -> int:
     cfg = _resolve(args)
     spec = _experiment_spec(cfg)
     cases = {name: _case(name) for name in spec.systems}
-    try:
+    with _config_errors():
         bench.check_spec(spec, cases.values())
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     # the FS exports are named by case name, so two systems must not share one
     by_name = {}
     for system, case in cases.items():
@@ -317,10 +315,8 @@ def _code_fingerprint() -> str:
 
 
 def _load_dataset_arg(args):
-    try:
+    with _config_errors():
         return attack.load_dataset(Path(args.dataset))
-    except (FileNotFoundError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _row_labels_for(ds) -> list:

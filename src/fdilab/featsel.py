@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import (KnnConfig, _sigmoid, accuracy, knn_votes, predict, standardize_apply,
+from .classify import (CONFIGS, KnnBlocks, _sigmoid, accuracy, predict, standardize_apply,
                        standardize_fit, stratified_split, train_model)
 
 
@@ -26,9 +26,10 @@ from .classify import (KnnConfig, _sigmoid, accuracy, knn_votes, predict, standa
 class FitnessContext:
     """Train/validation splits plus the wrapped classifier and a mask cache.
 
-    X_train and X_val are read-only copies. The scaler works per column, so a
-    masked KNN scaling is a column slice of Xs_train and Xs_val, which are
-    scaled once here.
+    X_train and X_val are read-only copies; config defaults to the
+    classifier's own default config. The scaler works per column, so a masked
+    KNN scaling is a column slice of the scaled splits: a KNN context scales
+    them once and lays them out once for the kernel (knn).
     """
 
     X_train: np.ndarray
@@ -41,24 +42,27 @@ class FitnessContext:
     cache: dict = field(default_factory=dict)
     evals: int = 0       # fitness() calls, cache hits included
     trainings: int = 0   # actual classifier fits (cache misses)
-    Xs_train: np.ndarray = field(init=False, repr=False)
-    Xs_val: np.ndarray = field(init=False, repr=False)
+    knn: KnnBlocks | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
+        if self.classifier not in CONFIGS:
+            raise ValueError(f"unknown classifier {self.classifier!r} (use {', '.join(CONFIGS)})")
         if self.config is None:
-            self.config = KnnConfig()
+            self.config = CONFIGS[self.classifier]()
         self.X_train = np.array(self.X_train, dtype=float)
         self.X_val = np.array(self.X_val, dtype=float)
         self.X_train.flags.writeable = False
         self.X_val.flags.writeable = False
-        if self.classifier == "knn" and self.config.k > self.X_train.shape[0]:
+        if self.classifier != "knn":
+            return
+        if self.config.k > self.X_train.shape[0]:
             raise ValueError(f"wrapper k={self.config.k} exceeds the "
                              f"{self.X_train.shape[0]} wrapper training rows")
-        self.Xs_train, self.Xs_val = self.X_train, self.X_val
+        splits = self.X_train, self.X_val
         if self.standardize:
             stats = standardize_fit(self.X_train)
-            self.Xs_train = standardize_apply(stats, self.X_train)
-            self.Xs_val = standardize_apply(stats, self.X_val)
+            splits = [standardize_apply(stats, X) for X in splits]
+        self.knn = KnnBlocks(splits[1], splits[0], self.y_train)
 
     @property
     def n_features(self) -> int:
@@ -86,8 +90,8 @@ def fitness_batch(masks, ctx: FitnessContext) -> list:
 
     Every mask counts as one evaluation and every distinct uncached mask as
     one training, as if the masks were scored one at a time. KNN misses share
-    one knn_votes call on the pre-scaled splits; other classifiers are
-    trained per mask.
+    one call of the KNN kernel on the context's blocks; other classifiers
+    are trained per mask.
     """
     masks = [np.asarray(mask, dtype=bool) for mask in masks]
     for mask in masks:
@@ -100,8 +104,7 @@ def fitness_batch(masks, ctx: FitnessContext) -> list:
     misses = {key: mask for key, mask in zip(keys, masks) if key not in ctx.cache}
     ctx.trainings += len(misses)
     if misses and ctx.classifier == "knn":
-        labels = knn_votes(ctx.Xs_val, ctx.Xs_train, ctx.y_train, ctx.config.k,
-                           np.stack(list(misses.values())))
+        labels = ctx.knn.votes(ctx.config.k, np.stack(list(misses.values())))
         ctx.cache.update((key, accuracy(row, ctx.y_val)) for key, row in zip(misses, labels))
     else:
         for key, mask in misses.items():
@@ -395,11 +398,10 @@ def run_search(method: str, ctx: FitnessContext, params, rng) -> FsResult:
 def export_fs_result(res: FsResult, row_labels, prefix) -> tuple:
     """Write <prefix>.txt (selected features by row label, fitness, eval count)
     and <prefix>_trace.csv (iteration, best_fitness)."""
-    prefix = Path(prefix)
     mask = np.asarray(res.best_mask, dtype=bool)
     if len(row_labels) != mask.shape[0]:
         raise ValueError("row label count does not match mask length")
-    txt = prefix.with_suffix(".txt")
+    txt = Path(f"{prefix}.txt")
     with txt.open("w") as fh:
         fh.write(f"best_fitness = {res.best_fitness!r}\n")
         fh.write(f"n_selected = {res.n_selected}\n")
@@ -407,7 +409,7 @@ def export_fs_result(res: FsResult, row_labels, prefix) -> tuple:
         fh.write("selected:\n")
         for idx in np.flatnonzero(mask):
             fh.write(f"  {idx} {row_labels[idx]}\n")
-    trace = Path(str(prefix) + "_trace.csv")
+    trace = Path(f"{prefix}_trace.csv")
     with trace.open("w") as fh:
         fh.write("iteration,best_fitness\n")
         for it, val in enumerate(res.trace):

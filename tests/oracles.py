@@ -253,6 +253,53 @@ def knn_votes_union_oracle(Q, B, train_y, k, masks, work_bytes=1 << 20):
     return out
 
 
+def knn_votes_class_split_oracle(Q, B, train_y, k, masks, work_bytes=1 << 20):
+    """knn_votes by an exact class-split selection: per mask one product over
+    its own columns, both class blocks of g partitioned at k, the k-th and
+    (k+1)-th smallest g from a partition of the two blocks' k + 1 smallest,
+    and the class-1 candidates at or below the k-th counted as votes. The
+    certificate is the gap between those two values; same fallback to
+    _knn_votes_direct as the package kernel, so the labels agree."""
+    from fdilab.classify import _knn_votes_direct
+
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    B = np.asarray(B, dtype=float)
+    ones = np.asarray(train_y) == 1
+    masks = np.atleast_2d(np.asarray(masks, dtype=bool))
+    n_b = B.shape[0]
+    P, n_q = masks.shape[0], Q.shape[0]
+    if k == n_b:
+        return np.full((P, n_q), 2 * np.count_nonzero(ones) > k, dtype=np.int64)
+    U = np.flatnonzero(masks.any(axis=0))
+    n_1 = np.count_nonzero(ones)
+    BuT = np.ascontiguousarray(B[np.argsort(~ones, kind="stable")][:, U].T)
+    QuT = Q.T[U]
+    nu = (len(U) + 3) * np.finfo(float).eps / 2
+    rows = max(1, min(n_q, work_bytes // (8 * n_b)))
+    c1, c0 = min(n_1, k + 1), min(n_b - n_1, k + 1)
+    out = np.empty((P, n_q), dtype=np.int64)
+    sure = np.ones(n_q, dtype=bool)
+    for p, mask in enumerate(masks[:, U]):
+        BmT, QmT = BuT[mask], QuT[mask]
+        bn = np.einsum("ij,ij->j", BmT, BmT)
+        margin = 16 * nu / (1 - nu) * (np.einsum("ij,ij->j", QmT, QmT) + bn.max())
+        for start in range(0, n_q, rows):
+            r = min(rows, n_q - start)
+            g = -2.0 * QmT[:, start:start + r].T @ BmT + bn
+            for block in (g[:, :n_1], g[:, n_1:]):
+                if block.shape[1] > k + 1:
+                    block.partition(k, axis=1)
+            cand = np.concatenate([g[:, :c1], g[:, n_1:n_1 + c0]], axis=1)
+            sel = np.partition(cand, (k - 1, k), axis=1)
+            kth = sel[:, k - 1]
+            sure[start:start + r] &= sel[:, k] - kth > margin[start:start + r]
+            out[p, start:start + r] = 2 * (cand[:, :c1] <= kth[:, None]).sum(axis=1) > k
+    redo = np.flatnonzero(~sure)
+    if redo.size:
+        out[:, redo] = _knn_votes_direct(Q[redo], B, train_y, k, masks)
+    return out
+
+
 def knn_fitness_oracle(mask, X_train, y_train, X_val, y_val, k, standardize=True):
     """Wrapper fitness the per-mask way: slice the masked columns, fit the
     scaler on them, build the full val x train x features difference tensor

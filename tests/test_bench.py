@@ -30,11 +30,11 @@ from fdilab import (
     run_matrix,
     train_model,
 )
-from fdilab import bench, featsel
+from fdilab import bench, classify, featsel
 from fdilab.attack import batch_residuals
 from fdilab.bench import RESULTS_HEADER, _experiment_datasets, dataset_fingerprint, subseed
 from fdilab.classify import AnnConfig, SvmConfig
-from fdilab.featsel import BpsoParams, GaParams
+from fdilab.featsel import BcsParams, BpsoParams, GaParams
 
 
 TRIANGLE_CSV = (
@@ -272,6 +272,28 @@ class TestRunMatrix:
         run_matrix(small_spec(fs_methods=("none", "ga", "bpso"),
                               bpso=BpsoParams(population=4, iterations=2)))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_wrapper_knn_needs_no_fallback(self, monkeypatch, seed):
+        # the fs-ieee14 wrapper: 400 ieee14 training rows, BCS 15 x 5, BPSO 15 x 5
+        # and GA 20 x 10; every label of every search is certified
+        rows = []
+        direct = classify._knn_votes_direct
+
+        def counted(Q, *args):
+            rows.append(len(Q))
+            return direct(Q, *args)
+
+        monkeypatch.setattr(classify, "_knn_votes_direct", counted)
+        spec = small_spec(n_train=400, n_test=200, seed=seed,
+                          bcs=BcsParams(population=15, iterations=5),
+                          bpso=BpsoParams(population=15, iterations=5),
+                          ga=GaParams(population=20, iterations=10))
+        train, _ = _experiment_datasets(spec, resolve_case("ieee14"))
+        search = bench.wrapper_searches(spec, "ieee14", train.X, train.y)
+        for method in ("bcs", "bpso", "ga"):
+            assert search(method)[0].evaluations > 0
+        assert rows == []
 
     def test_mask_shared_across_classifiers(self):
         spec = small_spec(classifiers=("knn", "ann"), ann=AnnConfig(epochs=10))

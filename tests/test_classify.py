@@ -1,6 +1,7 @@
 """Classifier correctness: hand values, brute-force oracles, gradient checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from fdilab import (
     train_model,
 )
 from fdilab import classify
-from fdilab.featsel import fitness_batch, make_fitness_context
+from fdilab.featsel import FitnessContext, fitness_batch, make_fitness_context
 from fdilab.classify import (
     _gram,
     _smo,
@@ -41,6 +42,7 @@ from oracles import (
     gram_oracle,
     kernel_gaussian,
     knn_oracle,
+    knn_votes_class_split_oracle,
     knn_votes_union_oracle,
     sigmoid_oracle,
     svm_dual_objective as dual_obj_loops,
@@ -349,6 +351,26 @@ class TestMemoryBounds:
         # 15 more masks add only their 15 rows of labels
         assert peaks[1] - peaks[0] <= 2 * 8 * 15 * n_q
 
+    def test_knn_context_holds_one_training_block(self):
+        # a KNN wrapper context at 118-bus width holds its raw and scaled splits
+        # and one class-sorted copy of the training rows; the query block is a view
+        rng = np.random.default_rng(12)
+        n_b, n_q, n_f = 1600, 400, 304
+        B, Q = rng.normal(size=(n_b, n_f)), rng.normal(size=(n_q, n_f))
+        y = rng.integers(0, 2, n_b + n_q)
+        tracemalloc.start()
+        try:
+            ctx = FitnessContext(X_train=B, y_train=y[:n_b], X_val=Q, y_val=y[n_b:],
+                                 config=KnnConfig(k=12))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        splits = sum(a.nbytes for a in (ctx.X_train, ctx.X_val, ctx.knn.B, ctx.knn.Q))
+        block = 8 * n_f * n_b
+        assert held <= splits + block + 64 * 1024
+        # the copy is made a row block of about KNN_WORK_BYTES at a time
+        assert peak <= splits + block + 1.1 * classify.KNN_WORK_BYTES
+
 
 def knn_labels(train_X, train_y, k, X):
     """KNN labels of the rows X on every column: knn_votes with one all-ones mask."""
@@ -451,13 +473,14 @@ class TestKnn:
                                  "near duplicates"]),
            seed=st.integers(0, 2**32 - 1), k=st.integers(1, 25), extra=st.integers(0, 15),
            n_f=st.integers(1, 5), n_q=st.integers(1, 7), n_masks=st.integers(1, 3),
-           work_bytes=st.sampled_from([1, 3000, classify.KNN_WORK_BYTES]))
+           work_bytes=st.sampled_from([1, 3000, classify.KNN_WORK_BYTES]),
+           p_one=st.sampled_from([0.5, 0.15, 0.85]))
     def test_gram_ranking_equals_direct_kernel_and_oracle(self, kind, seed, k, extra, n_f,
-                                                          n_q, n_masks, work_bytes):
+                                                          n_q, n_masks, work_bytes, p_one):
         n_b = k + extra
         B, Q = self._case(kind, seed, n_b, n_f, n_q)
         rng = np.random.default_rng(seed + 1)
-        y = rng.integers(0, 2, n_b)
+        y = (rng.random(n_b) < p_one).astype(np.int64)  # skewed: small class blocks
         masks = rng.random((n_masks, n_f)) < 0.6
         masks[np.arange(n_masks), rng.integers(0, n_f, n_masks)] = True
         calls = []
@@ -477,9 +500,11 @@ class TestKnn:
 
     @staticmethod
     def _assert_labels(got, Q, B, y, k, masks, work_bytes=classify.KNN_WORK_BYTES):
-        """got equals the direct kernel, the union-Gram kernel it replaced and
-        the brute-force oracle on each mask."""
+        """got equals the direct kernel, the class-split and union-Gram kernels
+        it replaced and the brute-force oracle on each mask."""
         assert got.tolist() == classify._knn_votes_direct(Q, B, y, k, masks).tolist()
+        assert got.tolist() == knn_votes_class_split_oracle(Q, B, y, k, masks,
+                                                            work_bytes).tolist()
         assert got.tolist() == knn_votes_union_oracle(Q, B, y, k, masks, work_bytes).tolist()
         for mask, row in zip(masks, got):
             assert row.tolist() == [knn_oracle(B[:, mask], y, k, q) for q in Q[:, mask]]
@@ -496,6 +521,45 @@ class TestKnn:
         self._assert_labels(got, Q, B, y, 7, masks)
         if n_ones in (0, 20):
             assert (got == n_ones // 20).all()
+
+    @pytest.mark.parametrize("kind", ["continuous", "grid"])
+    @pytest.mark.parametrize("k, n_ones", [
+        (7, 3), (7, 4), (7, 16), (7, 17),           # h = k - h + 1 = 4
+        (8, 4), (8, 5), (8, 15), (8, 16), (8, 17),  # h = 5, k - h + 1 = 4
+    ])
+    def test_class_blocks_at_the_vote_orders(self, kind, k, n_ones):
+        # a label 1 is the h-th nearest class-1 row (h = k // 2 + 1) ranking
+        # before the (k - h + 1)-th nearest class-0 row; each block just
+        # below, at or above that order
+        B, Q = self._case(kind, 29, 20, 3, 8)
+        y = np.zeros(20, dtype=np.int64)
+        y[np.random.default_rng(n_ones).permutation(20)[:n_ones]] = 1
+        masks = np.array([[True, True, True], [True, False, True], [False, True, False]])
+        got = knn_votes(Q, B, y, k, masks)
+        self._assert_labels(got, Q, B, y, k, masks)
+        h = k // 2 + 1
+        if n_ones < h:
+            assert (got == 0).all()
+        elif 20 - n_ones < k - h + 1:
+            assert (got == 1).all()
+
+    def test_rounding_level_ties_are_recomputed(self):
+        # each query q has the rows q - e (class 0, lower index) and q + e (class 1)
+        # at exactly equal distances, so the lowest index gives label 0; the Gram
+        # form rounds |b|^2 - 2<q, b> of the two apart, and only the certificate
+        # keeps that rounding from deciding the tie
+        rng = np.random.default_rng(30)
+        n_q, n_f = 40, 3
+        Q = rng.integers(500, 1000, (n_q, n_f)) + rng.integers(0, 2 ** 30, (n_q, n_f)) * 2.0 ** -30
+        E = rng.integers(1, 8, (n_q, n_f)) * 2.0 ** -20
+        B = np.concatenate([Q - E, Q + E])
+        y = np.repeat([0, 1], n_q)
+        masks = np.array([[True, True, True], [True, False, True]])
+        for k in (1, 3):
+            got = knn_votes(Q, B, y, k, masks)
+            if k == 1:
+                assert (got == 0).all()
+            self._assert_labels(got, Q, B, y, k, masks)
 
     def test_empty_mask_row_votes_the_lowest_indices(self):
         # every training row is at distance 0: all tie, so rows 0..k-1 vote

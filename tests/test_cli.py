@@ -399,6 +399,32 @@ class TestBenchmarkCmd:
         rows, fresh = (load_results(tmp_path / d / "results.csv") for d in ("bench", "fresh"))
         assert [r.accuracy for r in rows] == [r.accuracy for r in fresh]
 
+    def test_dotted_case_name_keeps_each_methods_export(self, tmp_path, monkeypatch):
+        # case grid.v2.csv is named grid.v2: each method's fs_grid.v2_<method>.txt
+        # must keep its own selection, not overwrite one fs_grid.txt
+        found = {}
+        search = cli.featsel.run_search
+
+        def recorded(method, *args):
+            found[method] = search(method, *args)
+            return found[method]
+
+        monkeypatch.setattr(cli.featsel, "run_search", recorded)
+        case = tmp_path / "grid.v2.csv"
+        case.write_text(TRIANGLE)
+        out_dir = tmp_path / "bench"
+        assert run(["benchmark", "--systems", str(case), "--fs", "ga,bpso", "--classifier",
+                    "knn", "--n-train", "80", "--n-test", "40", "--seed", "2",
+                    "--out-dir", str(out_dir)]) == 0
+        assert sorted(found) == ["bpso", "ga"]
+        for method, res in found.items():
+            txt = (out_dir / f"fs_grid.v2_{method}.txt").read_text()
+            assert txt.startswith(f"best_fitness = {res.best_fitness!r}\n")
+            selected = [line.split()[0] for line in txt.split("selected:\n", 1)[1].splitlines()
+                        if line.startswith("  ")]
+            assert selected == [str(i) for i in np.flatnonzero(res.best_mask)]
+            assert (out_dir / f"fs_grid.v2_{method}_trace.csv").exists()
+
     def test_systems_sharing_a_case_name_are_config_error(self, tmp_path, capsys):
         # FS exports are named fs_<case name>_<method>, so a/tri.csv and b/tri.csv would
         # overwrite each other's

@@ -15,7 +15,8 @@ from fdilab import (
     make_fitness_context,
     run_search,
 )
-from fdilab.classify import KnnConfig, SvmConfig, accuracy, predict, stratified_split, train_model
+from fdilab.classify import (AnnConfig, KnnConfig, SvmConfig, accuracy, predict, stratified_split,
+                             train_model)
 from fdilab.featsel import (FitnessContext, _improves, binarize, fitness_batch, levy_step,
                             repair_mask)
 
@@ -219,6 +220,20 @@ class TestBatchedFitness:
                                              mask=mask), ctx.X_val), ctx.y_val)
                 for mask in masks]
         assert fitness_batch(masks, ctx) == want
+
+    @pytest.mark.parametrize("classifier, config", [("svm", SvmConfig()), ("ann", AnnConfig())])
+    def test_config_defaults_to_the_classifiers_own(self, classifier, config):
+        X, y = synthetic_dataset(n=80, seed=4)
+        ctx = make_fitness_context(X, y, classifier=classifier, seed=1)
+        assert ctx.config == config
+        mask = np.array([True, False, False, True, True, False])
+        model = train_model(ctx.X_train, ctx.y_train, classifier, config, mask=mask)
+        assert fitness(mask, ctx) == accuracy(predict(model, ctx.X_val), ctx.y_val)
+
+    def test_unknown_classifier_rejected(self):
+        X, y = synthetic_dataset(n=80, seed=4)
+        with pytest.raises(ValueError, match=r"unknown classifier 'forest' \(use svm, knn, ann\)"):
+            make_fitness_context(X, y, classifier="forest", seed=1)
 
     def test_invalid_mask_counts_nothing(self, ctx):
         good = np.array([True, False, False, True, False, False])
