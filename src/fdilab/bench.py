@@ -215,10 +215,15 @@ def check_spec(spec: ExperimentSpec, systems) -> None:
     """Raise ValueError, naming the config key, for sizes run_matrix would
     reject part-way through: knn_k above the training rows, wrapper_k above
     the wrapper training rows when a search runs, max_targets above a
-    system's state count."""
+    system's state count, and one-class training rows for svm or ann (knn
+    trains on one class)."""
     if "knn" in spec.classifiers and spec.knn.k > spec.n_train:
         raise ValueError(f"knn_k = {spec.knn.k} exceeds the {spec.n_train} training rows")
     n_attacked = math.floor(spec.n_train * spec.attack_ratio)
+    if n_attacked in (0, spec.n_train) and {"svm", "ann"} & set(spec.classifiers):
+        raise ValueError(f"attack_ratio = {spec.attack_ratio} gives {n_attacked} attacked of "
+                         f"the {spec.n_train} training rows (n_train): svm and ann need both "
+                         "classes")
     wrapper_rows = spec.n_train - sum(classify.holdout_size(size, spec.val_fraction)
                                       for size in (n_attacked, spec.n_train - n_attacked) if size)
     if set(spec.fs_methods) - {"none"} and spec.wrapper_k > wrapper_rows:

@@ -35,7 +35,11 @@ class ScalerStats:
 
 
 def standardize_fit(X: np.ndarray) -> ScalerStats:
-    X = np.asarray(X, dtype=float)
+    """Per-column stats of the training rows X, reduced in Fortran order: each
+    column is one contiguous run, so its mean and std depend neither on X's
+    layout nor on the other columns, and the stats of X[:, cols] are those of
+    X at cols. X[:, mask] is in Fortran order already and is not copied."""
+    X = np.asfortranarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("need a non-empty 2-D training matrix")
     mean = X.mean(axis=0)
@@ -49,7 +53,9 @@ def standardize_apply(stats: ScalerStats, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.shape[-1] != stats.mean.shape[0]:
         raise ValueError("feature count does not match scaler stats")
-    return (X - stats.mean) / stats.std
+    out = X - stats.mean  # (X - mean) / std, dividing in place: one new array
+    out /= stats.std
+    return out
 
 
 def holdout_size(class_size: int, val_fraction: float) -> int:
@@ -250,14 +256,6 @@ def svm_decision(model: TrainedModel, X) -> np.ndarray:
     return (p["sv_alpha"] * p["sv_y"]) @ K + p["b"]
 
 
-def svm_dual_objective(model: TrainedModel) -> float:
-    """Dual objective sum(alpha) - 1/2 sum_ij alpha_i alpha_j y_i y_j K_ij."""
-    p = model.params
-    coef = p["sv_alpha"] * p["sv_y"]
-    K = _gram(p["sv"], p["sv"], p["gamma"])
-    return float(p["sv_alpha"].sum() - 0.5 * coef @ K @ coef)
-
-
 # ----------------------------------------------------------------------- KNN
 
 KNN_WORK_BYTES = 1 << 20  # one knn_votes Gram chunk, or row block of its training copy
@@ -448,20 +446,6 @@ def ann_forward(params: dict, X) -> np.ndarray:
     return P[0] if X.ndim == 1 else P
 
 
-def ann_loss_grads(params: dict, X: np.ndarray, Y: np.ndarray):
-    """Mean cross-entropy loss and its gradients for a batch.
-
-    Y is one-hot, shape (batch, N). Returns (loss, grads) with grads keyed
-    like params.
-    """
-    A1, S, P = _ann_layers(params, X)
-    loss = float(-(Y * np.log(P)).sum() / X.shape[0])
-    dZ1, dZ2 = _ann_backward(params["W2"], Y, A1, S, P)
-    grads = {"W2": dZ2.T @ A1, "th2": -dZ2.sum(axis=0),
-             "W1": dZ1.T @ X, "th1": -dZ1.sum(axis=0)}
-    return loss, grads
-
-
 def _ann_fit(X: np.ndarray, y: np.ndarray, cfg: AnnConfig):
     """Minibatch gradient descent in place: W -= alpha dZ'A, theta += alpha sum(dZ)
     (= theta - alpha * grad bit for bit). A non-finite weight stays non-finite,
@@ -512,11 +496,12 @@ def train_model(X, y, kind: str, cfg, mask=None, standardize: bool = True) -> Tr
     mask = np.ones(X.shape[1], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if mask.shape != (X.shape[1],) or not mask.any():
         raise ValueError("mask must select at least one feature")
-    Xm = X[:, mask]
-    if not np.isfinite(Xm).all():
+    Xs = X[:, mask]  # a copy of its own (boolean indexing), so a model may keep it
+    if not np.isfinite(Xs).all():
         raise ValueError("training features must be finite")
-    scaler = standardize_fit(Xm) if standardize else None
-    Xs = standardize_apply(scaler, Xm) if standardize else Xm
+    scaler = standardize_fit(Xs) if standardize else None
+    if scaler is not None:
+        Xs = standardize_apply(scaler, Xs)  # the unscaled copy is freed here
     if kind in ("svm", "ann") and (y == y[:1]).all():   # one class (np.unique imports numpy.ma)
         raise ValueError("training data must contain both classes")
     if kind == "svm":
@@ -524,7 +509,7 @@ def train_model(X, y, kind: str, cfg, mask=None, standardize: bool = True) -> Tr
     elif kind == "knn":
         if cfg.k > Xs.shape[0]:
             raise ValueError(f"k={cfg.k} exceeds training size {Xs.shape[0]}")
-        params, converged = {"X": Xs.copy(), "y": y.copy(), "k": cfg.k}, True
+        params, converged = {"X": Xs, "y": y.copy(), "k": cfg.k}, True
     elif kind == "ann":
         params, converged = _ann_fit(Xs, y, cfg)
     else:

@@ -11,7 +11,7 @@ per-iteration trace is non-decreasing by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,17 +24,22 @@ from .classify import (CONFIGS, KnnBlocks, _sigmoid, accuracy, predict, standard
 
 @dataclass
 class FitnessContext:
-    """Train/validation splits plus the wrapped classifier and a mask cache.
+    """The train/validation splits scaled once, the wrapped classifier and a
+    mask cache.
 
-    X_train and X_val are read-only copies; config defaults to the
-    classifier's own default config. The scaler works per column, so a masked
-    KNN scaling is a column slice of the scaled splits: a KNN context scales
-    them once and lays them out once for the kernel (knn).
+    A context keeps only scaled_train and scaled_val, read-only arrays of its
+    own: X_train and X_val standardized with X_train's stats, or copied as
+    they are when standardize is False. The raw rows are not kept.
+    standardize_fit reduces each column on its own, so a mask's columns of
+    the scaled splits are, bit for bit, what train_model scales from the raw
+    masked rows: svm and ann masks train on them with standardize=False, and
+    a KNN context lays them out once for its kernel (knn), which reads them
+    by reference. config defaults to the classifier's own default config.
     """
 
-    X_train: np.ndarray
+    X_train: InitVar[np.ndarray]
     y_train: np.ndarray
-    X_val: np.ndarray
+    X_val: InitVar[np.ndarray]
     y_val: np.ndarray
     classifier: str = "knn"
     config: object = None
@@ -42,31 +47,30 @@ class FitnessContext:
     cache: dict = field(default_factory=dict)
     evals: int = 0       # fitness() calls, cache hits included
     trainings: int = 0   # actual classifier fits (cache misses)
+    scaled_train: np.ndarray = field(init=False, repr=False)
+    scaled_val: np.ndarray = field(init=False, repr=False)
     knn: KnnBlocks | None = field(init=False, repr=False, default=None)
 
-    def __post_init__(self):
+    def __post_init__(self, X_train, X_val):
         if self.classifier not in CONFIGS:
             raise ValueError(f"unknown classifier {self.classifier!r} (use {', '.join(CONFIGS)})")
         if self.config is None:
             self.config = CONFIGS[self.classifier]()
-        self.X_train = np.array(self.X_train, dtype=float)
-        self.X_val = np.array(self.X_val, dtype=float)
-        self.X_train.flags.writeable = False
-        self.X_val.flags.writeable = False
-        if self.classifier != "knn":
-            return
-        if self.config.k > self.X_train.shape[0]:
+        X_train = np.asarray(X_train, dtype=float)
+        if self.classifier == "knn" and self.config.k > X_train.shape[0]:
             raise ValueError(f"wrapper k={self.config.k} exceeds the "
-                             f"{self.X_train.shape[0]} wrapper training rows")
-        splits = self.X_train, self.X_val
-        if self.standardize:
-            stats = standardize_fit(self.X_train)
-            splits = [standardize_apply(stats, X) for X in splits]
-        self.knn = KnnBlocks(splits[1], splits[0], self.y_train)
+                             f"{X_train.shape[0]} wrapper training rows")
+        stats = standardize_fit(X_train) if self.standardize else None
+        self.scaled_train, self.scaled_val = (
+            np.array(X, dtype=float) if stats is None else standardize_apply(stats, X)
+            for X in (X_train, X_val))
+        self.scaled_train.flags.writeable = self.scaled_val.flags.writeable = False
+        if self.classifier == "knn":
+            self.knn = KnnBlocks(self.scaled_val, self.scaled_train, self.y_train)
 
     @property
     def n_features(self) -> int:
-        return self.X_train.shape[1]
+        return self.scaled_train.shape[1]
 
 
 def make_fitness_context(X, y, classifier: str = "knn", config=None,
@@ -108,9 +112,9 @@ def fitness_batch(masks, ctx: FitnessContext) -> list:
         ctx.cache.update((key, accuracy(row, ctx.y_val)) for key, row in zip(misses, labels))
     else:
         for key, mask in misses.items():
-            model = train_model(ctx.X_train, ctx.y_train, ctx.classifier, ctx.config,
-                                mask=mask, standardize=ctx.standardize)
-            ctx.cache[key] = accuracy(predict(model, ctx.X_val), ctx.y_val)
+            model = train_model(ctx.scaled_train, ctx.y_train, ctx.classifier, ctx.config,
+                                mask=mask, standardize=False)
+            ctx.cache[key] = accuracy(predict(model, ctx.scaled_val), ctx.y_val)
     return [ctx.cache[key] for key in keys]
 
 

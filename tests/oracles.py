@@ -322,6 +322,17 @@ def knn_fitness_oracle(mask, X_train, y_train, X_val, y_val, k, standardize=True
     return float((pred == np.asarray(y_val)).mean())
 
 
+def wrapper_fitness_oracle(mask, X_train, y_train, X_val, y_val, kind, cfg, standardize=True):
+    """Wrapper fitness from the raw splits, the way featsel.fitness_batch
+    scored svm and ann masks before a context kept only scaled splits:
+    train_model on the raw training rows fits the scaler on the masked
+    columns, and predict scales the raw validation rows with it."""
+    from fdilab import accuracy, predict, train_model
+
+    model = train_model(X_train, y_train, kind, cfg, mask=mask, standardize=standardize)
+    return accuracy(predict(model, X_val), y_val)
+
+
 def kernel_gaussian(x1, x2, gamma):
     """exp(-gamma * ||x1 - x2||^2) for two feature vectors, summed in a loop."""
     if len(x1) != len(x2):
@@ -346,6 +357,17 @@ def svm_dual_objective(alpha, K, y_pm):
         for j in range(n):
             quad += alpha[i] * alpha[j] * y_pm[i] * y_pm[j] * K[i, j]
     return total - 0.5 * quad
+
+
+def svm_model_dual_objective(model):
+    """Dual objective sum(alpha) - 1/2 sum_ij alpha_i alpha_j y_i y_j K_ij of a
+    trained svm model, over its support vectors and with the package's _gram."""
+    from fdilab.classify import _gram
+
+    p = model.params
+    coef = p["sv_alpha"] * p["sv_y"]
+    K = _gram(p["sv"], p["sv"], p["gamma"])
+    return float(p["sv_alpha"].sum() - 0.5 * coef @ K @ coef)
 
 
 def duality_gap(alpha, K, y_pm, C):
@@ -452,6 +474,23 @@ def ann_fit_oracle(X, y, cfg):
             for key in params:
                 params[key] -= cfg.alpha * grads[key]
     return params
+
+
+def ann_loss_grads(params, X, Y):
+    """Mean cross-entropy loss of a batch and its gradients through the
+    package's _ann_layers and _ann_backward, the two steps _ann_fit takes.
+
+    Y is one-hot, shape (batch, N). Returns (loss, grads) with grads keyed
+    like params.
+    """
+    from fdilab.classify import _ann_backward, _ann_layers
+
+    A1, S, P = _ann_layers(params, X)
+    loss = float(-(Y * np.log(P)).sum() / X.shape[0])
+    dZ1, dZ2 = _ann_backward(params["W2"], Y, A1, S, P)
+    grads = {"W2": dZ2.T @ A1, "th2": -dZ2.sum(axis=0),
+             "W1": dZ1.T @ X, "th1": -dZ1.sum(axis=0)}
+    return loss, grads
 
 
 def ann_loss_fd(loss_fn, params, h=1e-5):

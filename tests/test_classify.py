@@ -26,18 +26,17 @@ from fdilab.classify import (
     ann_forward,
     ann_hidden_size,
     ann_init,
-    ann_loss_grads,
     knn_votes,
     standardize_apply,
     standardize_fit,
     stratified_split,
     svm_decision,
-    svm_dual_objective,
 )
 
 from oracles import (
     ann_fit_oracle,
     ann_loss_fd,
+    ann_loss_grads,
     duality_gap,
     gram_oracle,
     kernel_gaussian,
@@ -47,6 +46,7 @@ from oracles import (
     sigmoid_oracle,
     svm_dual_objective as dual_obj_loops,
     svm_dual_oracle,
+    svm_model_dual_objective,
 )
 from test_attack import _traced_peak
 
@@ -91,6 +91,19 @@ class TestScaler:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             standardize_fit(np.empty((0, 3)))
+
+    def test_stats_depend_on_neither_layout_nor_other_columns(self):
+        # a wrapper context scales every column once and slices masks from it,
+        # so its stats must be bit for bit those of each mask's own columns
+        X = np.random.default_rng(3).normal(5.0, 3.0, (1600, 54))
+        X[:, 9] = 2.5
+        stats = standardize_fit(np.ascontiguousarray(X))
+        cols = np.array([0, 7, 9, 30, 53])
+        for other in (standardize_fit(np.asfortranarray(X)), standardize_fit(X[:, cols]),
+                      standardize_fit(np.ascontiguousarray(X[:, cols]))):
+            picked = slice(None) if other.mean.shape == stats.mean.shape else cols
+            for name in ("mean", "std", "constant"):
+                assert getattr(other, name).tobytes() == getattr(stats, name)[picked].tobytes()
 
 
 class TestStratifiedSplit:
@@ -204,7 +217,7 @@ class TestGramMatchesOracle:
         want = coef @ gram_oracle(p["sv"], classify._prepare(model, Q), p["gamma"]) + b
         assert svm_decision(model, Q).tobytes() == want.tobytes()
         K = gram_oracle(p["sv"], p["sv"], p["gamma"])
-        assert svm_dual_objective(model) == float(p["sv_alpha"].sum() - 0.5 * coef @ K @ coef)
+        assert svm_model_dual_objective(model) == float(p["sv_alpha"].sum() - 0.5 * coef @ K @ coef)
 
 
 class TestSvm:
@@ -271,7 +284,7 @@ class TestSvm:
             y_pm = np.where(y == 1, 1.0, -1.0)
             a_star = svm_dual_oracle(K, y_pm, cfg.C)
             want = dual_obj_loops(a_star, K, y_pm)
-            got = svm_dual_objective(model)
+            got = svm_model_dual_objective(model)
             assert abs(got - want) < 1e-3, f"trial {trial}: {got} vs {want}"
             gap = duality_gap(full_alpha(model, X), K, y_pm, cfg.C)
             assert gap >= abs(got - want), f"trial {trial}: gap {gap} < |dD| {abs(got - want)}"
@@ -321,8 +334,9 @@ class TestSvm:
 
 class TestMemoryBounds:
     """Peak traced memory of the SVM kernel path at n = 1,000, in units of the
-    n x n Gram K (8 MB), which is the only full-size array it holds, and of one
-    knn_votes call at 118-bus width."""
+    n x n Gram K (8 MB), which is the only full-size array it holds, of the
+    training rows' copies in train_model, and of one knn_votes call and one
+    KNN wrapper context at 118-bus width."""
 
     X, y = blobs(n_per=500, spread=1.5, dim=34, seed=10)
 
@@ -333,6 +347,14 @@ class TestMemoryBounds:
     def test_train_svm_peak(self):
         _, peak = _traced_peak(lambda: train_model(self.X, self.y, "svm", SvmConfig()))
         assert peak <= 1.4 * 8 * len(self.X) ** 2
+
+    @pytest.mark.parametrize("kind, cfg", [("knn", KnnConfig()), ("ann", AnnConfig(epochs=1))],
+                             ids=["knn", "ann"])
+    def test_train_scales_one_copy_of_the_masked_rows(self, kind, cfg):
+        # the masked copy of X is scaled into one new array and then freed; an
+        # ANN epoch adds its shuffled rows
+        _, peak = _traced_peak(lambda: train_model(self.X, self.y, kind, cfg))
+        assert peak <= 2.5 * self.X.nbytes
 
     def test_knn_votes_peak(self):
         # the 118-bus wrapper split: 1,600 training and 400 query rows of 304
@@ -352,8 +374,9 @@ class TestMemoryBounds:
         assert peaks[1] - peaks[0] <= 2 * 8 * 15 * n_q
 
     def test_knn_context_holds_one_training_block(self):
-        # a KNN wrapper context at 118-bus width holds its raw and scaled splits
-        # and one class-sorted copy of the training rows; the query block is a view
+        # a KNN wrapper context at 118-bus width holds its scaled splits, which
+        # its blocks read by reference, and one class-sorted copy of the training
+        # rows; the query block is a view
         rng = np.random.default_rng(12)
         n_b, n_q, n_f = 1600, 400, 304
         B, Q = rng.normal(size=(n_b, n_f)), rng.normal(size=(n_q, n_f))
@@ -365,11 +388,31 @@ class TestMemoryBounds:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        splits = sum(a.nbytes for a in (ctx.X_train, ctx.X_val, ctx.knn.B, ctx.knn.Q))
+        assert ctx.knn.B is ctx.scaled_train and ctx.knn.Q is ctx.scaled_val
+        arrays = {id(a): a for a in (ctx.scaled_train, ctx.scaled_val, ctx.knn.B, ctx.knn.Q)}
+        splits = sum(a.nbytes for a in arrays.values())
         block = 8 * n_f * n_b
         assert held <= splits + block + 64 * 1024
         # the copy is made a row block of about KNN_WORK_BYTES at a time
         assert peak <= splits + block + 1.1 * classify.KNN_WORK_BYTES
+
+    def test_knn_context_build(self):
+        # make_fitness_context on 2,000 rows of 118-bus width keeps the scaled
+        # splits and the class-sorted training rows, 2.25 blocks of 8 n_f n_b
+        # (n_b the 1,600 wrapper training rows), and no raw copy of a split
+        rng = np.random.default_rng(13)
+        X, y = rng.normal(size=(2000, 304)), rng.integers(0, 2, 2000)
+        tracemalloc.start()
+        try:
+            ctx = make_fitness_context(X, y, config=KnnConfig(k=12))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = 8 * X.shape[1] * len(ctx.y_train)
+        assert held <= 2.3 * block
+        # at the layout: the raw split rows make_fitness_context holds, the
+        # scaled splits, the class-sorted rows and one row block of them
+        assert peak <= 3.8 * block
 
 
 def knn_labels(train_X, train_y, k, X):

@@ -387,6 +387,14 @@ class TestBenchmarkCmd:
                     "--n-train", "40", "--n-test", "30", "--config", str(cfg),
                     "--out-dir", str(tmp_path / "bench")]) == 0
 
+    def test_knn_trains_on_one_class(self, tmp_path):
+        # svm and ann need both classes (TestOutOfRange); knn alone does not
+        out_dir = tmp_path / "bench"
+        assert run(["benchmark", "--systems", "ieee14", "--fs", "none", "--classifier", "knn",
+                    "--n-train", "40", "--n-test", "20", "--attack-ratio", "0",
+                    "--out-dir", str(out_dir)]) == 0
+        assert (out_dir / "results.csv").exists()
+
     def test_edited_case_csv_is_a_different_run(self, tmp_path):
         case = tmp_path / "tri.csv"
         argv = ["benchmark", "--systems", str(case), "--fs", "none", "--classifier", "knn",
@@ -469,9 +477,17 @@ class TestOutOfRange:
         (BENCH, "val_fraction = 1.5\n", "val_fraction"),
         (BENCH, "wrapper_k = 0\n", "wrapper_k"),
         (BENCH + ["--classifier", "knn,svm,knn"], "", "repeated classifier: knn,svm,knn"),
+        # floor(n_train * attack_ratio) of 0 or n_train leaves svm and ann one class
+        (BENCH + ["--classifier", "svm", "--attack-ratio", "0"], "",
+         "attack_ratio = 0.0 gives 0 attacked of the 40 training rows (n_train)"),
+        (BENCH + ["--classifier", "ann", "--attack-ratio", "0.01"], "",
+         "attack_ratio = 0.01 gives 0 attacked of the 40 training rows (n_train)"),
+        (BENCH + ["--classifier", "knn,svm", "--attack-ratio", "1"], "",
+         "attack_ratio = 1.0 gives 40 attacked of the 40 training rows (n_train)"),
     ], ids=["standardize", "seed", "generate attack_ratio", "select wrapper_k", "holdout",
             "attack_ratio", "noise_sigma", "load_var", "n_test", "magnitudes", "val_fraction",
-            "wrapper_k", "repeated classifier"])
+            "wrapper_k", "repeated classifier", "one-class svm", "one-class ann",
+            "all-attacked svm"])
     def test_setting_is_config_error_before_any_work(self, tmp_path, capsys, argv, config,
                                                      name):
         argv = list(argv)

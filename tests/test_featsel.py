@@ -15,12 +15,12 @@ from fdilab import (
     make_fitness_context,
     run_search,
 )
-from fdilab.classify import (AnnConfig, KnnConfig, SvmConfig, accuracy, predict, stratified_split,
-                             train_model)
+from fdilab.classify import (AnnConfig, KnnConfig, SvmConfig, accuracy, predict,
+                             standardize_apply, standardize_fit, stratified_split, train_model)
 from fdilab.featsel import (FitnessContext, _improves, binarize, fitness_batch, levy_step,
                             repair_mask)
 
-from oracles import exhaustive_best_mask, knn_fitness_oracle
+from oracles import exhaustive_best_mask, knn_fitness_oracle, wrapper_fitness_oracle
 
 
 def synthetic_dataset(n=160, n_noise=4, seed=0):
@@ -172,6 +172,13 @@ class TestFitness:
         assert _improves(0.5, two, 0.5, None)        # first offer always lands
 
 
+def raw_splits(X, y, seed, val_fraction=0.2):
+    """The raw (X_train, y_train, X_val, y_val) that make_fitness_context splits
+    from X and y with the same seed; a context keeps only their scaled copies."""
+    tr, va = stratified_split(y, val_fraction, seed)
+    return X[tr], y[tr], X[va], y[va]
+
+
 def random_masks(rng, n_masks, m):
     masks = rng.random((n_masks, m)) < 0.5
     masks[np.arange(n_masks), rng.integers(0, m, n_masks)] = True
@@ -194,7 +201,7 @@ class TestBatchedFitness:
         masks = random_masks(rng, n_masks, 5)
         masks = np.concatenate([masks, masks[:2]])  # duplicates in one batch
         got = fitness_batch(masks, ctx)
-        want = [knn_fitness_oracle(mask, ctx.X_train, ctx.y_train, ctx.X_val, ctx.y_val, k,
+        want = [knn_fitness_oracle(mask, *raw_splits(X, y, seed), k,
                                    standardize=not integer_data) for mask in masks]
         assert got == want
         assert ctx.evals == len(masks)
@@ -216,8 +223,9 @@ class TestBatchedFitness:
         X, y = synthetic_dataset(n=80, seed=4)
         ctx = make_fitness_context(X, y, classifier="svm", config=SvmConfig(), seed=1)
         masks = random_masks(np.random.default_rng(1), 3, 6)
-        want = [accuracy(predict(train_model(ctx.X_train, ctx.y_train, "svm", SvmConfig(),
-                                             mask=mask), ctx.X_val), ctx.y_val)
+        X_train, y_train, X_val, y_val = raw_splits(X, y, 1)
+        want = [accuracy(predict(train_model(X_train, y_train, "svm", SvmConfig(), mask=mask),
+                                 X_val), y_val)
                 for mask in masks]
         assert fitness_batch(masks, ctx) == want
 
@@ -227,8 +235,9 @@ class TestBatchedFitness:
         ctx = make_fitness_context(X, y, classifier=classifier, seed=1)
         assert ctx.config == config
         mask = np.array([True, False, False, True, True, False])
-        model = train_model(ctx.X_train, ctx.y_train, classifier, config, mask=mask)
-        assert fitness(mask, ctx) == accuracy(predict(model, ctx.X_val), ctx.y_val)
+        X_train, y_train, X_val, y_val = raw_splits(X, y, 1)
+        model = train_model(X_train, y_train, classifier, config, mask=mask)
+        assert fitness(mask, ctx) == accuracy(predict(model, X_val), y_val)
 
     def test_unknown_classifier_rejected(self):
         X, y = synthetic_dataset(n=80, seed=4)
@@ -242,15 +251,37 @@ class TestBatchedFitness:
         assert (ctx.evals, ctx.trainings, ctx.cache) == (0, 0, {})
 
     def test_context_holds_read_only_copies(self):
+        # the context keeps read-only scaled splits of its own, not the raw rows
         X, y = synthetic_dataset()
-        train = X[:100].copy()
-        ctx = FitnessContext(X_train=train, y_train=y[:100], X_val=X[100:], y_val=y[100:],
-                             config=KnnConfig(k=5))
-        train[:] = 0.0
-        assert np.array_equal(ctx.X_train, X[:100])
-        for arr in (ctx.X_train, ctx.X_val):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0, 0] = 100.0
+        stats = standardize_fit(X[:100])
+        for standardize in (True, False):
+            train, val = X[:100].copy(), X[100:].copy()
+            ctx = FitnessContext(X_train=train, y_train=y[:100], X_val=val, y_val=y[100:],
+                                 config=KnnConfig(k=5), standardize=standardize)
+            train[:] = val[:] = 0.0
+            assert not hasattr(ctx, "X_train") and not hasattr(ctx, "X_val")
+            for arr, raw in ((ctx.scaled_train, X[:100]), (ctx.scaled_val, X[100:])):
+                want = standardize_apply(stats, raw) if standardize else raw
+                assert arr.tobytes() == want.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0] = 100.0
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["svm", "ann", "knn"]), st.booleans())
+    def test_scaled_splits_score_as_the_raw_split_oracle(self, seed, kind, standardize):
+        # columns of unequal offset and scale, so that scaling moves every value
+        rng = np.random.default_rng(seed)
+        X, y = synthetic_dataset(n=80, seed=seed)
+        X = X * rng.uniform(0.2, 5.0, 6) + rng.uniform(-3.0, 3.0, 6)
+        cfg = {"svm": SvmConfig(max_sweeps=5000), "ann": AnnConfig(epochs=3, seed=seed % 97),
+               "knn": KnnConfig(k=5)}[kind]
+        ctx = make_fitness_context(X, y, classifier=kind, config=cfg, seed=seed,
+                                   standardize=standardize)
+        masks = np.concatenate([np.ones((1, 6), dtype=bool), np.eye(6, dtype=bool),
+                                random_masks(rng, 4, 6)])
+        want = [wrapper_fitness_oracle(mask, *raw_splits(X, y, seed), kind, cfg, standardize)
+                for mask in masks]
+        assert fitness_batch(masks, ctx) == want
 
     def test_k_larger_than_wrapper_training_rows(self):
         X, y = synthetic_dataset(n=40)
