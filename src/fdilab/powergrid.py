@@ -295,7 +295,16 @@ def solve_dc_state(sys: BusSystem, jac: DcJacobian, injections: np.ndarray) -> n
     p = np.asarray(injections, dtype=float)
     if p.ndim not in (1, 2) or p.shape[-1] != sys.n_buses:
         raise ValueError("injection vector length mismatch")
-    rows = [sys.n_branches + b - 1 for b in jac.state_buses]
-    B_red = jac.matrix[rows, :]
     rhs = p[..., [b - 1 for b in jac.state_buses]]
-    return np.ascontiguousarray(np.linalg.solve(B_red, rhs.T).T)
+    return np.ascontiguousarray(_solve_state_block(sys, jac, rhs).T)
+
+
+def _solve_state_block(sys: BusSystem, jac: DcJacobian, rhs: np.ndarray) -> np.ndarray:
+    """The one-LU solve behind solve_dc_state, on injections given at the
+    state buses only: rhs is one vector (n_states,) or a block (k, n_states),
+    and the result is (n_states,) or the transposed (n_states, k) block, whose
+    column i holds row i's angles. Only LAPACK's copy of rhs and the result
+    are made, so a caller can free rhs and turn the columns into rows a block
+    at a time; the values do not depend on rhs's memory layout."""
+    B_red = jac.matrix[[sys.n_branches + b - 1 for b in jac.state_buses], :]
+    return np.linalg.solve(B_red, rhs.T)

@@ -141,7 +141,11 @@ def generate_dataset_bulk_oracle(sys, n, attack_ratio, noise, load_var, cfg, see
                                  keep_clean=False):
     """generate_dataset with every stage held in full: the whole (n, m) noise
     matrix E, the list of attack images a = H c, then X = H S + E and the
-    attacked rows X[i] += a one at a time. Returns (X, y, clean_X or None).
+    attacked rows X[i] += a one at a time. The states come from one
+    solve_dc_state call on the full (n, n_buses) injection block and its
+    contiguous (n, n_states) result, where the package solves a block of
+    state-bus injections and turns the solution into rows a block at a time.
+    Returns (X, y, clean_X or None).
 
     The package adds the same terms into one X in row blocks, so the two must
     agree bit for bit.

@@ -379,12 +379,11 @@ class TestMemoryBounds:
         # rows; the query block is a view
         rng = np.random.default_rng(12)
         n_b, n_q, n_f = 1600, 400, 304
-        B, Q = rng.normal(size=(n_b, n_f)), rng.normal(size=(n_q, n_f))
-        y = rng.integers(0, 2, n_b + n_q)
+        X, y = rng.normal(size=(n_b + n_q, n_f)), rng.integers(0, 2, n_b + n_q)
+        rows = (np.arange(n_b), np.arange(n_b, n_b + n_q))
         tracemalloc.start()
         try:
-            ctx = FitnessContext(X_train=B, y_train=y[:n_b], X_val=Q, y_val=y[n_b:],
-                                 config=KnnConfig(k=12))
+            ctx = FitnessContext(X, y, rows, config=KnnConfig(k=12))
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -410,9 +409,9 @@ class TestMemoryBounds:
             tracemalloc.stop()
         block = 8 * X.shape[1] * len(ctx.y_train)
         assert held <= 2.3 * block
-        # at the layout: the raw split rows make_fitness_context holds, the
-        # scaled splits, the class-sorted rows and one row block of them
-        assert peak <= 3.8 * block
+        # at the layout: the scaled splits, the class-sorted rows and one row
+        # block of them (2.53 measured); each raw split is freed once scaled
+        assert peak <= 2.6 * block
 
 
 def knn_labels(train_X, train_y, k, X):

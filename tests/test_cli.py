@@ -16,6 +16,7 @@ from fdilab.bench import RESULTS_HEADER, load_results
 from fdilab.cli import CONFIG_KEYS, ConfigError, _read_config_file, main
 
 
+ROOT = Path(__file__).resolve().parent.parent
 TRIANGLE = ("BUS,1,1.5\nBUS,2,-0.5\nBUS,3,-1\n"
             "BRANCH,1,2,0.1\nBRANCH,2,3,0.1\nBRANCH,1,3,0.1\n")
 
@@ -303,6 +304,24 @@ class TestSelectCmd:
             lines(tmp_path / "bench" / "fs_ieee14_ga.txt")
         assert (tmp_path / "sel" / "fs_ga_trace.csv").read_bytes() == \
             (tmp_path / "bench" / "fs_ieee14_ga_trace.csv").read_bytes()
+
+    def test_header_without_rows_is_config_error(self, tmp_path, capsys):
+        ds_path = tmp_path / "empty.csv"
+        ds_path.write_text("f1,f2,label\n")
+        assert run(["select", "--dataset", str(ds_path), "--fs", "ga",
+                    "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"fdilab: {ds_path}: no data rows\n"
+
+    def test_equal_budget_config(self, tmp_path):
+        # the committed config gives every searcher about 400 evaluations
+        ds_path = tmp_path / "ds.csv"
+        assert run(["generate", "--case", "ieee14", "--n", "60", "--seed", "2",
+                    "--out", str(ds_path), "--out-dir", str(tmp_path)]) == 0
+        assert run(["select", "--dataset", str(ds_path), "--fs", "bcs,bpso,ga",
+                    "--config", str(ROOT / "demos" / "equal_budget.conf"),
+                    "--out-dir", str(tmp_path)]) == 0
+        for method, evals in (("bcs", 400), ("bpso", 390), ("ga", 400)):
+            assert f"evaluations = {evals}\n" in (tmp_path / f"fs_{method}.txt").read_text()
 
     def test_fs_none_only_is_config_error(self, tmp_path):
         ds_path = tmp_path / "ds.csv"

@@ -254,12 +254,13 @@ class TestBatchedFitness:
         # the context keeps read-only scaled splits of its own, not the raw rows
         X, y = synthetic_dataset()
         stats = standardize_fit(X[:100])
+        rows = (np.arange(100), np.arange(100, len(X)))
         for standardize in (True, False):
-            train, val = X[:100].copy(), X[100:].copy()
-            ctx = FitnessContext(X_train=train, y_train=y[:100], X_val=val, y_val=y[100:],
-                                 config=KnnConfig(k=5), standardize=standardize)
-            train[:] = val[:] = 0.0
-            assert not hasattr(ctx, "X_train") and not hasattr(ctx, "X_val")
+            data = X.copy()
+            ctx = FitnessContext(data, y, rows, config=KnnConfig(k=5), standardize=standardize)
+            data[:] = 0.0
+            assert not hasattr(ctx, "X") and not hasattr(ctx, "X_train")
+            assert np.array_equal(ctx.y_train, y[:100]) and np.array_equal(ctx.y_val, y[100:])
             for arr, raw in ((ctx.scaled_train, X[:100]), (ctx.scaled_val, X[100:])):
                 want = standardize_apply(stats, raw) if standardize else raw
                 assert arr.tobytes() == want.tobytes()
