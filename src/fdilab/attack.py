@@ -92,15 +92,13 @@ def inject(z: np.ndarray, atk: AttackVector) -> np.ndarray:
 class Dataset:
     """Labeled measurement samples: X rows are feature vectors, y in {0, 1}.
 
-    clean_X, when kept, holds the pre-attack measurements (equal to X on
-    clean rows), which makes residual-invariance checks cheap. X need not be
-    C-contiguous: load_dataset returns it as a strided view of the parsed file.
+    X need not be C-contiguous: load_dataset returns it as a strided view of
+    the parsed file.
     """
 
     X: np.ndarray
     y: np.ndarray
     meta: dict = field(default_factory=dict)
-    clean_X: np.ndarray | None = None
 
     def __post_init__(self):
         if self.X.ndim != 2 or self.y.shape != (self.X.shape[0],):
@@ -120,8 +118,7 @@ class Dataset:
 
 
 def generate_dataset(sys: BusSystem, n: int, attack_ratio: float, noise: NoiseModel,
-                     load_var: float, cfg: AttackConfig | None, seed: int,
-                     keep_clean: bool = False) -> Dataset:
+                     load_var: float, cfg: AttackConfig | None, seed: int) -> Dataset:
     """Simulate n labeled samples on one system.
 
     Per sample: every base injection is scaled by an independent factor
@@ -138,7 +135,9 @@ def generate_dataset(sys: BusSystem, n: int, attack_ratio: float, noise: NoiseMo
     whole dataset, with one LU of the reduced susceptance matrix, and the
     block is freed. The transposed solution becomes rows one row block at a
     time, just before that block's H x is added into X; H c is added the same
-    way, so X is the only full-size array left (besides clean_X).
+    way, so X is the only full-size array left. A row's attack draws come
+    after its noise, and the attack order is drawn whatever the ratio, so the
+    rows before their attacks are X of the same call with attack_ratio 0.
     """
     if n < 2:
         raise ValueError("need at least 2 samples")
@@ -184,7 +183,6 @@ def generate_dataset(sys: BusSystem, n: int, attack_ratio: float, noise: NoiseMo
         else:
             X[rows] = Hx
     del ST
-    clean = X.copy() if keep_clean else None
     attacked_rows = np.flatnonzero(attacked)
     for rows in _row_blocks(n_attacked):
         X[attacked_rows[rows]] += np.matmul(jac.matrix, C[rows, :, None])[:, :, 0]
@@ -199,7 +197,7 @@ def generate_dataset(sys: BusSystem, n: int, attack_ratio: float, noise: NoiseMo
         "magnitude_low": cfg.magnitude_low,
         "magnitude_high": cfg.magnitude_high,
     }
-    return Dataset(X=X, y=attacked.astype(np.int64), meta=meta, clean_X=clean)
+    return Dataset(X=X, y=attacked.astype(np.int64), meta=meta)
 
 
 def stealthiness_report(ds: Dataset, H: DcJacobian, variance, threshold: float):
@@ -274,18 +272,21 @@ def load_dataset(path) -> Dataset:
 
     The body is parsed in one np.loadtxt call. Every row must hold m finite
     features and an integer label in {0, 1}; when the parse or a check fails,
-    the rows are scanned one by one and the first bad line is named. X is the
-    view data[:, :m] of the parsed array, not a contiguous copy.
+    the same parse runs on each line in turn to name the first bad line. X
+    is the view data[:, :m] of the parsed array, not a contiguous copy.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
     with path.open() as fh:
         header = fh.readline().strip().split(",")
-        if not header or header[-1] != "label":
+        if len(header) < 2 or header[-1] != "label":  # at least one feature
             raise ValueError(f"{path}: expected header f1,...,fm,label")
         m = len(header) - 1
         n_lines = 0
+
+        def parse(rows):  # one grammar for the body and for each line the scan reads
+            return np.loadtxt(rows, delimiter=",", comments=None, converters={m: int}, ndmin=2)
 
         def lines():
             nonlocal n_lines
@@ -296,35 +297,29 @@ def load_dataset(path) -> Dataset:
         try:
             with warnings.catch_warnings():  # an empty body is checked below
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(lines(), delimiter=",", comments=None,
-                                  converters={m: int}, ndmin=2)
+                data = parse(lines())
         except (ValueError, OverflowError):
             data = None
     # loadtxt skips blank lines, so a row count short of the line count fails too
     if (data is None or data.shape != (n_lines, m + 1) or n_lines == 0
             or not np.isfinite(data[:, :m]).all() or not np.isin(data[:, m], (0, 1)).all()):
-        # scan the rows one by one and name the first bad line
-        rows, labels = [], []
         with path.open() as fh:
             fh.readline()
             for lineno, line in enumerate(fh, start=2):
-                parts = line.strip().split(",")
-                if len(parts) != m + 1:
-                    raise ValueError(f"{path} line {lineno}: expected {m + 1} fields")
                 try:
-                    rows.append([float(v) for v in parts[:m]])
-                    if not all(map(math.isfinite, rows[-1])):
+                    if line.count(",") != m:
+                        raise ValueError(f"expected {m + 1} fields")
+                    row = parse([line])[0]
+                    if not np.isfinite(row[:m]).all():
                         raise ValueError("non-finite feature")
-                    labels.append(int(parts[m]))
-                    if labels[-1] not in (0, 1):
-                        raise ValueError(f"label must be 0 or 1, got {labels[-1]}")
-                except ValueError as exc:
-                    raise ValueError(f"{path} line {lineno}: {exc}") from None
-        if not rows:
-            raise ValueError(f"{path}: no data rows")
-        X, y = np.array(rows), np.array(labels, dtype=np.int64)
-    else:
-        X, y = data[:, :m], data[:, m].astype(np.int64)
+                    if row[m] not in (0, 1):
+                        raise ValueError(f"label must be 0 or 1, got {row[m]:.0f}")
+                except (ValueError, OverflowError) as exc:  # loadtxt counts rows from 0
+                    raise ValueError(f"{path} line {lineno}: "
+                                     f"{str(exc).replace('row 0, ', '')}") from None
+        # no line is bad, so the body is empty
+        raise ValueError(f"{path}: no data rows")
+    X, y = data[:, :m], data[:, m].astype(np.int64)
     meta = {}
     side = path.with_suffix(path.suffix + ".meta")
     if side.exists():

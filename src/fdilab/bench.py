@@ -81,19 +81,25 @@ def default_grid(classifier: str) -> tuple:
 def grid_search(X, y, spec: GridSearchSpec, cache: dict | None = None) -> GridSearchResult:
     """Evaluate every grid point on a stratified holdout; argmax wins.
 
+    The holdout split is scaled once, in one FitnessContext, and each grid
+    point is scored on it by featsel.holdout_accuracies over all features.
     Ties go to the earliest grid point. `cache` maps
     (dataset fingerprint, config repr) -> accuracy and is updated in place,
     which lets callers persist results across runs.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
-    tr, va = classify.stratified_split(y, spec.holdout, spec.seed)
+    try:  # input the context rejects fails every grid point
+        # k=1 keeps the context's wrapper-k check off the grid's own k values
+        ctx = featsel.make_fitness_context(
+            X, y, spec.classifier, KnnConfig(k=1) if spec.classifier == "knn" else None,
+            val_fraction=spec.holdout, seed=spec.seed, standardize=spec.standardize)
+    except ValueError as exc:
+        raise ValueError(f"every grid point failed: {exc}") from None
+    y = np.asarray(y, dtype=np.int64)  # checked by the context, so the cast drops no fraction
     fp = dataset_fingerprint(X, y) + f"|{spec.holdout}|{spec.seed}|{spec.standardize}"
     rows = []
-    best_idx = None
-    best_acc = -1.0
     hits = 0
-    for idx, cfg in enumerate(spec.grid):
+    for cfg in spec.grid:
         key = f"{fp}||{cfg!r}"
         acc = None
         err = None
@@ -102,21 +108,18 @@ def grid_search(X, y, spec: GridSearchSpec, cache: dict | None = None) -> GridSe
             hits += 1
         else:
             try:
-                model = classify.train_model(X[tr], y[tr], spec.classifier, cfg,
-                                             standardize=spec.standardize)
-                acc = classify.accuracy(classify.predict(model, X[va]), y[va])
+                acc = featsel.holdout_accuracies(ctx, cfg, np.ones((1, ctx.n_features), bool))[0]
                 if cache is not None:
                     cache[key] = acc
             except (ValueError, FloatingPointError) as exc:
                 err = str(exc)
         rows.append((cfg, acc, err))
-        if acc is not None and acc > best_acc:
-            best_acc = acc
-            best_idx = idx
-    if best_idx is None:
+    scored = [idx for idx, (_, acc, _) in enumerate(rows) if acc is not None]
+    if not scored:
         errors = "; ".join(dict.fromkeys(err for _, _, err in rows))
         raise ValueError(f"every grid point failed: {errors}")
-    return GridSearchResult(best_config=spec.grid[best_idx], best_accuracy=best_acc,
+    best_idx = max(scored, key=lambda idx: rows[idx][1])  # the first of equal accuracies
+    return GridSearchResult(best_config=spec.grid[best_idx], best_accuracy=rows[best_idx][1],
                             rows=tuple(rows), from_cache=hits)
 
 
@@ -193,12 +196,6 @@ class ExperimentSpec:
             if len(set(names)) < len(names):
                 raise ValueError(f"repeated {what}: {','.join(names)}")
 
-    def classifier_config(self, kind: str):
-        return getattr(self, kind)
-
-    def fs_params(self, method: str):
-        return getattr(self, method)
-
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -257,7 +254,7 @@ def wrapper_searches(spec: ExperimentSpec, system: str, X, y):
 
     def search(method: str):
         t0 = time.perf_counter()
-        res = featsel.run_search(method, ctx, spec.fs_params(method),
+        res = featsel.run_search(method, ctx, getattr(spec, method),
                                  subseed(spec.seed, system, method, "search"))
         return res, time.perf_counter() - t0
     return search
@@ -279,8 +276,7 @@ def _fs_job(spec: ExperimentSpec, system: str):
             mask = np.asarray(fs_runs[(system, fs)][0].best_mask, dtype=bool)
         n_features = int(mask.sum())
         for kind in spec.classifiers:
-            model = classify.train_model(train.X, train.y, kind,
-                                         spec.classifier_config(kind),
+            model = classify.train_model(train.X, train.y, kind, getattr(spec, kind),
                                          mask=mask, standardize=spec.standardize)
             acc = classify.accuracy(classify.predict(model, test.X), test.y)
             out_rows.append(ExperimentResult(

@@ -307,10 +307,11 @@ def _ignore_corrupt_cache(path: Path, exc: Exception) -> None:
 
 
 def _code_fingerprint() -> str:
-    """Package version and a digest of its sources; keys cached accuracies and the manifest."""
+    """Digest of the package version, sources and bundled cases; keys the cache and manifest."""
     h = hashlib.sha256(__version__.encode())
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        h.update(path.name.encode() + path.read_bytes())
+    root = Path(__file__).parent
+    for path in sorted([*root.glob("*.py"), *root.glob("cases/*.csv")]):
+        h.update(path.relative_to(root).as_posix().encode() + path.read_bytes())
     return h.hexdigest()
 
 

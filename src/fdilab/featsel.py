@@ -38,6 +38,7 @@ class FitnessContext:
     masked rows: svm and ann masks train on them with standardize=False, and
     a KNN context lays them out once for its kernel (knn), which reads them
     by reference. config defaults to the classifier's own default config.
+    Labels outside {0, 1} and non-finite features fail the build.
     """
 
     X: InitVar[np.ndarray]
@@ -60,9 +61,13 @@ class FitnessContext:
             raise ValueError(f"unknown classifier {self.classifier!r} (use {', '.join(CONFIGS)})")
         if self.config is None:
             self.config = CONFIGS[self.classifier]()
-        X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=np.int64)
+        X, y = np.asarray(X, dtype=float), np.asarray(y)
+        if not ((y == 0) | (y == 1)).all():
+            raise ValueError("labels must be 0 or 1")
+        if not np.isfinite(X).all():
+            raise ValueError("features must be finite")
         tr, va = (np.asarray(r, dtype=np.intp) for r in rows)
-        self.y_train, self.y_val = y[tr], y[va]
+        self.y_train, self.y_val = y[tr].astype(np.int64), y[va].astype(np.int64)
         if self.classifier == "knn" and self.config.k > len(tr):
             raise ValueError(f"wrapper k={self.config.k} exceeds the "
                              f"{len(tr)} wrapper training rows")
@@ -84,9 +89,19 @@ def make_fitness_context(X, y, classifier: str = "knn", config=None,
                          val_fraction: float = 0.2, seed: int = 0,
                          standardize: bool = True) -> FitnessContext:
     """Stratified holdout split of the given training data for wrapper fitness."""
-    y = np.asarray(y, dtype=np.int64)
     return FitnessContext(X, y, stratified_split(y, val_fraction, seed), classifier=classifier,
                           config=config, standardize=standardize)
+
+
+def holdout_accuracies(ctx: FitnessContext, config, masks) -> list:
+    """Validation accuracy of ctx's classifier under config, trained on each
+    mask's columns of the scaled training split. KNN masks share one call of
+    the KNN kernel on the context's blocks; other classifiers train per mask."""
+    if ctx.classifier == "knn":
+        return [accuracy(row, ctx.y_val) for row in ctx.knn.votes(config.k, masks)]
+    return [accuracy(predict(train_model(ctx.scaled_train, ctx.y_train, ctx.classifier, config,
+                                         mask=mask, standardize=False), ctx.scaled_val),
+                     ctx.y_val) for mask in masks]
 
 
 def fitness(mask: np.ndarray, ctx: FitnessContext) -> float:
@@ -95,12 +110,10 @@ def fitness(mask: np.ndarray, ctx: FitnessContext) -> float:
 
 
 def fitness_batch(masks, ctx: FitnessContext) -> list:
-    """fitness() of each mask in order, with the cache misses scored in one go.
+    """fitness() of each mask in order; the cache misses go to one holdout_accuracies call.
 
     Every mask counts as one evaluation and every distinct uncached mask as
-    one training, as if the masks were scored one at a time. KNN misses share
-    one call of the KNN kernel on the context's blocks; other classifiers
-    are trained per mask.
+    one training, as if the masks were scored one at a time.
     """
     masks = [np.asarray(mask, dtype=bool) for mask in masks]
     for mask in masks:
@@ -112,14 +125,8 @@ def fitness_batch(masks, ctx: FitnessContext) -> list:
     keys = [mask.tobytes() for mask in masks]
     misses = {key: mask for key, mask in zip(keys, masks) if key not in ctx.cache}
     ctx.trainings += len(misses)
-    if misses and ctx.classifier == "knn":
-        labels = ctx.knn.votes(ctx.config.k, np.stack(list(misses.values())))
-        ctx.cache.update((key, accuracy(row, ctx.y_val)) for key, row in zip(misses, labels))
-    else:
-        for key, mask in misses.items():
-            model = train_model(ctx.scaled_train, ctx.y_train, ctx.classifier, ctx.config,
-                                mask=mask, standardize=False)
-            ctx.cache[key] = accuracy(predict(model, ctx.scaled_val), ctx.y_val)
+    if misses:
+        ctx.cache.update(zip(misses, holdout_accuracies(ctx, ctx.config, list(misses.values()))))
     return [ctx.cache[key] for key in keys]
 
 

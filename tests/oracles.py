@@ -99,14 +99,14 @@ def jacobian_oracle(sys):
     return H
 
 
-def generate_dataset_oracle(sys, n, attack_ratio, noise, load_var, cfg, seed,
-                            keep_clean=False):
+def generate_dataset_oracle(sys, n, attack_ratio, noise, load_var, cfg, seed):
     """generate_dataset the per-sample way: for each sample draw its load
     factors, solve the DC flow for that one injection vector, draw the noisy
     measurement and, on an attacked row, add a freshly crafted attack.
 
-    Returns (X, y, clean_X or None). The random draws and their order are the
-    package's; only the arithmetic is done one sample at a time.
+    Returns (X, y, clean_X), clean_X holding the rows before their attacks.
+    The random draws and their order are the package's; only the arithmetic
+    is done one sample at a time.
     """
     from fdilab import build_jacobian, craft_attack, default_attack_config, measure
     from fdilab import solve_dc_state
@@ -123,29 +123,27 @@ def generate_dataset_oracle(sys, n, attack_ratio, noise, load_var, cfg, seed,
     attacked = np.zeros(n, dtype=bool)
     attacked[order[:n_attacked]] = True
     X = np.empty((n, m))
-    clean = np.empty((n, m)) if keep_clean else None
+    clean = np.empty((n, m))
     for i in range(n):
         rng = np.random.default_rng(children[i + 1])
         factors = rng.uniform(1.0 - load_var, 1.0 + load_var, size=sys.n_buses)
         x_true = solve_dc_state(sys, jac, base * factors)
         z = measure(jac, x_true, noise, rng)
-        if clean is not None:
-            clean[i] = z
+        clean[i] = z
         if attacked[i]:
             z = z + craft_attack(jac, cfg, rng).a
         X[i] = z
     return X, attacked.astype(np.int64), clean
 
 
-def generate_dataset_bulk_oracle(sys, n, attack_ratio, noise, load_var, cfg, seed,
-                                 keep_clean=False):
+def generate_dataset_bulk_oracle(sys, n, attack_ratio, noise, load_var, cfg, seed):
     """generate_dataset with every stage held in full: the whole (n, m) noise
     matrix E, the list of attack images a = H c, then X = H S + E and the
     attacked rows X[i] += a one at a time. The states come from one
     solve_dc_state call on the full (n, n_buses) injection block and its
     contiguous (n, n_states) result, where the package solves a block of
     state-bus injections and turns the solution into rows a block at a time.
-    Returns (X, y, clean_X or None).
+    Returns (X, y, clean_X), clean_X holding the rows before their attacks.
 
     The package adds the same terms into one X in row blocks, so the two must
     agree bit for bit.
@@ -177,7 +175,7 @@ def generate_dataset_bulk_oracle(sys, n, attack_ratio, noise, load_var, cfg, see
     X = np.matmul(jac.matrix, S[:, :, None])[:, :, 0]
     if E is not None:
         X += E
-    clean = X.copy() if keep_clean else None
+    clean = X.copy()
     for i, a in zip(np.flatnonzero(attacked), attacks):
         X[i] += a
     return X, attacked.astype(np.int64), clean
@@ -335,6 +333,27 @@ def wrapper_fitness_oracle(mask, X_train, y_train, X_val, y_val, kind, cfg, stan
 
     model = train_model(X_train, y_train, kind, cfg, mask=mask, standardize=standardize)
     return accuracy(predict(model, X_val), y_val)
+
+
+def grid_search_oracle(X, y, spec):
+    """bench.grid_search's rows the per-point way, as it ran before it scored
+    on one context: every grid point trains from the raw training rows (the
+    scaler fitted anew) and predicts the raw validation rows. Returns the
+    (config, accuracy or None, error or None) rows."""
+    from fdilab import accuracy, predict, train_model
+    from fdilab.classify import stratified_split
+
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=np.int64)
+    tr, va = stratified_split(y, spec.holdout, spec.seed)
+    rows = []
+    for cfg in spec.grid:
+        try:
+            model = train_model(X[tr], y[tr], spec.classifier, cfg, standardize=spec.standardize)
+            rows.append((cfg, accuracy(predict(model, X[va]), y[va]), None))
+        except (ValueError, FloatingPointError) as exc:
+            rows.append((cfg, None, str(exc)))
+    return tuple(rows)
 
 
 def kernel_gaussian(x1, x2, gamma):

@@ -65,13 +65,14 @@ def test_criterion_01_stealth_identity():
     t0 = time.perf_counter()
     sys = load_builtin("ieee14")
     noise = NoiseModel(0.01)
-    ds = generate_dataset(sys, 2000, 0.5, noise, 0.1, None, seed=2025, keep_clean=True)
+    ds = generate_dataset(sys, 2000, 0.5, noise, 0.1, None, seed=2025)
+    clean_X = generate_dataset(sys, 2000, 0.0, noise, 0.1, None, seed=2025).X
     jac = build_jacobian(sys)
     attacked = ds.y == 1
     assert int(attacked.sum()) == 1000
     var = noise.sigma ** 2
     res_bad = batch_residuals(ds.X[attacked], jac, var)
-    res_clean = batch_residuals(ds.clean_X[attacked], jac, var)
+    res_clean = batch_residuals(clean_X[attacked], jac, var)
     worst = float(np.max(np.abs(res_bad - res_clean)))
     thr = calibrate_threshold(sys, noise, n_samples=500, quantile=0.95, seed=7)
     clean_rate, attacked_rate = stealthiness_report(ds, jac, var, thr)

@@ -159,11 +159,11 @@ class TestGenerateDataset:
 
     def test_attacked_rows_differ_from_clean_image(self):
         sys = load_builtin("ieee14")
-        ds = generate_dataset(sys, 30, 0.5, NoiseModel(SIGMA), 0.1, None,
-                              seed=13, keep_clean=True)
+        ds = generate_dataset(sys, 30, 0.5, NoiseModel(SIGMA), 0.1, None, seed=13)
+        clean_X = generate_dataset(sys, 30, 0.0, NoiseModel(SIGMA), 0.1, None, seed=13).X
         attacked = ds.y == 1
-        assert not np.allclose(ds.X[attacked], ds.clean_X[attacked])
-        assert np.array_equal(ds.X[~attacked], ds.clean_X[~attacked])
+        assert not np.allclose(ds.X[attacked], clean_X[attacked])
+        assert np.array_equal(ds.X[~attacked], clean_X[~attacked])
 
     def test_stealth_rates_close(self):
         sys = load_builtin("ieee14")
@@ -199,24 +199,21 @@ class TestGenerateDataset:
 class TestGenerateMatchesOracle:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.booleans(), st.integers(2, 40),
-           st.sampled_from([0.0, SIGMA, 0.1]), st.sampled_from([0.0, 0.5, 1.0]),
-           st.booleans())
-    def test_bulk_generation_equals_per_sample_oracle(self, seed, ieee14, n, sigma,
-                                                      ratio, keep_clean):
+           st.sampled_from([0.0, SIGMA, 0.1]), st.sampled_from([0.0, 0.5, 1.0]))
+    def test_bulk_generation_equals_per_sample_oracle(self, seed, ieee14, n, sigma, ratio):
         sys = load_builtin("ieee14") if ieee14 else random_connected_system(
             np.random.default_rng(seed))
         args = (sys, n, ratio, NoiseModel(sigma), 0.1, None, seed)
-        ds = generate_dataset(*args, keep_clean=keep_clean)
-        X, y, clean = generate_dataset_oracle(*args, keep_clean=True)
+        ds = generate_dataset(*args)
+        X, y, clean = generate_dataset_oracle(*args)
         assert np.array_equal(ds.y, y)
         tol = dict(rtol=1e-12, atol=1e-12 * max(1.0, float(np.abs(X).max())))
         np.testing.assert_allclose(ds.X, X, **tol)
-        if not keep_clean:
-            assert ds.clean_X is None
-            return
-        np.testing.assert_allclose(ds.clean_X, clean, **tol)
+        # the rows before their attacks are the same call's rows at ratio 0
+        clean_X = generate_dataset(sys, n, 0.0, NoiseModel(sigma), 0.1, None, seed).X
+        np.testing.assert_allclose(clean_X, clean, **tol)
         # the attacks themselves are drawn and added exactly as the oracle does
-        assert np.array_equal(np.sign(ds.X - ds.clean_X), np.sign(X - clean))
+        assert np.array_equal(np.sign(ds.X - clean_X), np.sign(X - clean))
 
 
 # sizes around the 256-row blocks of generate_dataset and batch_residuals
@@ -233,23 +230,25 @@ class TestBlockedPathsEqualBulkOracles:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.booleans(), st.sampled_from(BLOCK_EDGES[1:]),
-           st.sampled_from([0.0, SIGMA]), st.sampled_from([0.0, 0.5, 1.0]), st.booleans())
-    def test_generate_equals_bulk_oracle(self, seed, ieee14, n, sigma, ratio, keep_clean):
+           st.sampled_from([0.0, SIGMA]), st.sampled_from([0.0, 0.5, 1.0]))
+    def test_generate_equals_bulk_oracle(self, seed, ieee14, n, sigma, ratio):
         sys = load_builtin("ieee14") if ieee14 else random_connected_system(
             np.random.default_rng(seed))
         args = (sys, n, ratio, NoiseModel(sigma), 0.1, None, seed)
-        ds = generate_dataset(*args, keep_clean=keep_clean)
-        X, y, clean = generate_dataset_bulk_oracle(*args, keep_clean=keep_clean)
+        ds = generate_dataset(*args)
+        X, y, clean = generate_dataset_bulk_oracle(*args)
         assert _same_bits(ds.X, X)
         assert np.array_equal(ds.y, y)
-        assert (ds.clean_X is None) if clean is None else _same_bits(ds.clean_X, clean)
+        # the rows before their attacks are the same call's rows at ratio 0
+        assert _same_bits(generate_dataset(sys, n, 0.0, *args[3:]).X, clean)
 
     @pytest.mark.parametrize("case, n", [("ieee118", 4097), ("ieee57", 1030)])
     def test_generate_equals_bulk_oracle_at_size(self, case, n):
         args = (load_builtin(case), n, 0.5, NoiseModel(SIGMA), 0.1, None, 21)
-        ds = generate_dataset(*args, keep_clean=True)
-        X, y, clean = generate_dataset_bulk_oracle(*args, keep_clean=True)
-        assert _same_bits(ds.X, X) and np.array_equal(ds.y, y) and _same_bits(ds.clean_X, clean)
+        ds = generate_dataset(*args)
+        X, y, clean = generate_dataset_bulk_oracle(*args)
+        assert _same_bits(ds.X, X) and np.array_equal(ds.y, y)
+        assert _same_bits(generate_dataset(args[0], n, 0.0, *args[3:]).X, clean)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["random", "ieee14", "ieee57", "ieee118"]),
@@ -321,13 +320,9 @@ class TestMemoryBounds:
 
     def test_generate_peak(self):
         # at the solve: X, the state-bus injections, the transposed solution
-        # and the attack shifts (2.01 x measured); with clean_X kept the peak
-        # is later: X, clean_X, the attack shifts and row-block temporaries (2.47 x)
-        sys = load_builtin("ieee118")
-        for keep_clean, bound in ((False, 2.1), (True, 2.55)):
-            ds, peak = _traced_peak(lambda: generate_dataset(sys, *self.ARGS,
-                                                             keep_clean=keep_clean))
-            assert peak <= bound * ds.X.nbytes, keep_clean
+        # and the attack shifts (2.01 x measured)
+        ds, peak = _traced_peak(lambda: generate_dataset(load_builtin("ieee118"), *self.ARGS))
+        assert peak <= 2.1 * ds.X.nbytes
 
     def test_load_peak(self, saved):
         ds, peak = _traced_peak(lambda: load_dataset(saved))
@@ -396,6 +391,14 @@ class TestDatasetIO:
             p.write_text(f"f1,f2,label\n0.1,0.2,1\n{bad_row}\n")
             with pytest.raises(ValueError, match="line 3"):
                 load_dataset(p)
+
+    @pytest.mark.parametrize("field", ["1_5", "\u0661\u0665"])
+    def test_fields_loadtxt_rejects_name_their_line(self, tmp_path, field):
+        # Python's float reads both (15.0); the line scan parses as np.loadtxt does
+        p = tmp_path / "bad.csv"
+        p.write_text(f"f1,f2,label\n{field},0.2,1\n0.3,0.4,0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))} line 2: .*'{field}'"):
+            load_dataset(p)
 
     def test_header_without_rows(self, tmp_path):
         p = tmp_path / "empty.csv"

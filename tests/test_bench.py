@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fdilab import (
     ExperimentResult,
@@ -35,6 +36,8 @@ from fdilab.attack import batch_residuals
 from fdilab.bench import RESULTS_HEADER, _experiment_datasets, dataset_fingerprint, subseed
 from fdilab.classify import AnnConfig, SvmConfig
 from fdilab.featsel import BcsParams, BpsoParams, GaParams
+
+from oracles import grid_search_oracle
 
 
 TRIANGLE_CSV = (
@@ -139,6 +142,13 @@ class TestGridSearch:
                                                  r"labels must be 0 or 1$"):
                 grid_search(X, 2 * y, GridSearchSpec(kind, grid))
 
+    def test_fractional_label_fails_every_point(self):
+        # the labels reach the context as given, not truncated to integers first
+        X, y = tiny_dataset()
+        with pytest.raises(ValueError, match=r"^every grid point failed: labels must be 0 or 1$"):
+            grid_search(X, np.where(np.arange(len(y)) == 7, 0.5, y), GridSearchSpec(
+                "knn", (KnnConfig(k=3),)))
+
     def test_cache_reuse_and_isolation(self):
         X, y = tiny_dataset()
         grid = tuple(KnnConfig(k=k) for k in (1, 3, 5))
@@ -154,6 +164,28 @@ class TestGridSearch:
         X2, y2 = tiny_dataset(seed=9)
         third = grid_search(X2, y2, spec, cache=cache)
         assert third.from_cache == 0
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    @pytest.mark.parametrize("kind", ["knn", "svm", "ann"])
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(0, 2 ** 31 - 1),
+           st.sampled_from([0.2, 0.35, 0.5]))
+    @example(data_seed=0, seed=0, holdout=0.2)
+    @example(data_seed=1, seed=7, holdout=0.35)
+    def test_rows_equal_per_point_oracle(self, kind, standardize, data_seed, seed, holdout):
+        # columns of unequal offset and scale, so that scaling moves every value;
+        # k = 10**6 fails on its own
+        rng = np.random.default_rng(data_seed)
+        y = rng.integers(0, 2, 50)
+        X = (rng.normal(0.0, 1.0, (50, 5)) + 0.8 * y[:, None]) * rng.uniform(0.2, 5.0, 5) \
+            + rng.uniform(-3.0, 3.0, 5)
+        grid = {"knn": tuple(KnnConfig(k=k) for k in (1, 4, 7, 10 ** 6)),
+                "svm": tuple(SvmConfig(C=c, gamma=g, max_sweeps=2000)
+                             for c, g in ((1.0, 0.1), (100.0, 0.01), (10.0, 1.0))),
+                "ann": (AnnConfig(alpha=0.1, epochs=3), AnnConfig(alpha=1e-3, epochs=2),
+                        AnnConfig(alpha=1.0, epochs=1, batch=8))}[kind]
+        spec = GridSearchSpec(kind, grid, holdout=holdout, seed=seed, standardize=standardize)
+        assert repr(grid_search(X, y, spec).rows) == repr(grid_search_oracle(X, y, spec))
 
     def test_holdout_validation(self):
         with pytest.raises(ValueError):
@@ -192,12 +224,6 @@ class TestCalibration:
 
 
 class TestExperimentSpec:
-    def test_config_accessors(self):
-        spec = ExperimentSpec()
-        assert spec.classifier_config("svm") is spec.svm
-        assert spec.classifier_config("knn") is spec.knn
-        assert spec.fs_params("ga") is spec.ga
-
     @pytest.mark.parametrize("field, value, message", [
         ("classifiers", ("knn", "forest"), "unknown classifier 'forest'"),
         ("fs_methods", ("none", "tabu"), "unknown FS method 'tabu'"),

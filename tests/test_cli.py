@@ -4,6 +4,7 @@ and byte-identical benchmark reruns."""
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -185,6 +186,18 @@ class TestGridsearchCmd:
         assert run(argv) == 0
         assert "(0 of 20 cells from cache)" in capsys.readouterr().out
 
+    def test_code_digest_covers_bundled_cases(self, tmp_path, monkeypatch):
+        # a case file's bytes change every benchmark result, so they key the cache too
+        package = tmp_path / "fdilab"
+        shutil.copytree(Path(cli.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        original = cli._code_fingerprint()
+        monkeypatch.setattr(cli, "__file__", str(package / "cli.py"))
+        assert cli._code_fingerprint() == original
+        case = package / "cases" / "ieee14.csv"
+        case.write_text(case.read_text() + "\n")
+        assert cli._code_fingerprint() != original
+
     @pytest.mark.parametrize("text", ['{"truncated": ', None],
                              ids=["not JSON", "entry not a mapping"])
     def test_corrupt_cache_is_recomputed(self, tmp_path, capsys, text):
@@ -304,6 +317,13 @@ class TestSelectCmd:
             lines(tmp_path / "bench" / "fs_ieee14_ga.txt")
         assert (tmp_path / "sel" / "fs_ga_trace.csv").read_bytes() == \
             (tmp_path / "bench" / "fs_ieee14_ga_trace.csv").read_bytes()
+
+    def test_field_loadtxt_rejects_is_config_error(self, tmp_path, capsys):
+        ds_path = tmp_path / "underscore.csv"
+        ds_path.write_text("f1,f2,label\n1_5,0.2,1\n0.3,0.4,0\n")
+        assert run(["select", "--dataset", str(ds_path), "--fs", "ga",
+                    "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"fdilab: {ds_path} line 2: ")
 
     def test_header_without_rows_is_config_error(self, tmp_path, capsys):
         ds_path = tmp_path / "empty.csv"

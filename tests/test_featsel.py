@@ -284,6 +284,24 @@ class TestBatchedFitness:
                 for mask in masks]
         assert fitness_batch(masks, ctx) == want
 
+    @pytest.mark.parametrize("classifier", ["knn", "svm", "ann"])
+    @pytest.mark.parametrize("bad, standardize, message", [
+        ("labels", True, "labels must be 0 or 1"),
+        ("nan validation row", True, "features must be finite"),
+        ("inf training row", False, "features must be finite"),
+    ])
+    def test_bad_input_rejected_at_build(self, classifier, bad, standardize, message):
+        X, y = synthetic_dataset(n=80, seed=4)
+        train_rows, val_rows = stratified_split(y, 0.2, 1)
+        if bad == "labels":
+            y = 2 * y
+        elif bad == "nan validation row":
+            X[val_rows[3], 2] = np.nan
+        else:
+            X[train_rows[5], 4] = np.inf
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_fitness_context(X, y, classifier=classifier, seed=1, standardize=standardize)
+
     def test_k_larger_than_wrapper_training_rows(self):
         X, y = synthetic_dataset(n=40)
         n_train = len(stratified_split(y, 0.2, 0)[0])
