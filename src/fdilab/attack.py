@@ -271,7 +271,7 @@ def load_dataset(path) -> Dataset:
     """Read a dataset CSV (and its sidecar, when present) written by save_dataset.
 
     The body is parsed in one np.loadtxt call. Every row must hold m finite
-    features and an integer label in {0, 1}; when the parse or a check fails,
+    features and a label field 0 or 1; when the parse or a check fails,
     the same parse runs on each line in turn to name the first bad line. X
     is the view data[:, :m] of the parsed array, not a contiguous copy.
     """
@@ -286,7 +286,9 @@ def load_dataset(path) -> Dataset:
         n_lines = 0
 
         def parse(rows):  # one grammar for the body and for each line the scan reads
-            return np.loadtxt(rows, delimiter=",", comments=None, converters={m: int}, ndmin=2)
+            # a label is 0 or 1 inside whitespace: int would also read 0_1 or \u0660
+            return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
+                              converters={m: lambda field: ("0", "1").index(field.strip())})
 
         def lines():
             nonlocal n_lines
@@ -302,18 +304,15 @@ def load_dataset(path) -> Dataset:
             data = None
     # loadtxt skips blank lines, so a row count short of the line count fails too
     if (data is None or data.shape != (n_lines, m + 1) or n_lines == 0
-            or not np.isfinite(data[:, :m]).all() or not np.isin(data[:, m], (0, 1)).all()):
+            or not np.isfinite(data[:, :m]).all()):
         with path.open() as fh:
             fh.readline()
             for lineno, line in enumerate(fh, start=2):
                 try:
                     if line.count(",") != m:
                         raise ValueError(f"expected {m + 1} fields")
-                    row = parse([line])[0]
-                    if not np.isfinite(row[:m]).all():
+                    if not np.isfinite(parse([line])[0, :m]).all():
                         raise ValueError("non-finite feature")
-                    if row[m] not in (0, 1):
-                        raise ValueError(f"label must be 0 or 1, got {row[m]:.0f}")
                 except (ValueError, OverflowError) as exc:  # loadtxt counts rows from 0
                     raise ValueError(f"{path} line {lineno}: "
                                      f"{str(exc).replace('row 0, ', '')}") from None

@@ -33,13 +33,6 @@ def subseed(master: int, *tokens) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
-def dataset_fingerprint(X: np.ndarray, y: np.ndarray) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(X).tobytes())
-    h.update(np.ascontiguousarray(y).tobytes())
-    return h.hexdigest()
-
-
 # --------------------------------------------------------------- grid search
 
 @dataclass(frozen=True)
@@ -62,7 +55,6 @@ class GridSearchResult:
     best_config: object
     best_accuracy: float
     rows: tuple          # (config, accuracy or None, error or None) per grid point
-    from_cache: int = 0
 
 
 def default_grid(classifier: str) -> tuple:
@@ -78,16 +70,13 @@ def default_grid(classifier: str) -> tuple:
     raise ValueError(f"unknown classifier {classifier!r}")
 
 
-def grid_search(X, y, spec: GridSearchSpec, cache: dict | None = None) -> GridSearchResult:
+def grid_search(X, y, spec: GridSearchSpec) -> GridSearchResult:
     """Evaluate every grid point on a stratified holdout; argmax wins.
 
     The holdout split is scaled once, in one FitnessContext, and each grid
     point is scored on it by featsel.holdout_accuracies over all features.
-    Ties go to the earliest grid point. `cache` maps
-    (dataset fingerprint, config repr) -> accuracy and is updated in place,
-    which lets callers persist results across runs.
+    Ties go to the earliest grid point.
     """
-    X = np.asarray(X, dtype=float)
     try:  # input the context rejects fails every grid point
         # k=1 keeps the context's wrapper-k check off the grid's own k values
         ctx = featsel.make_fitness_context(
@@ -95,24 +84,13 @@ def grid_search(X, y, spec: GridSearchSpec, cache: dict | None = None) -> GridSe
             val_fraction=spec.holdout, seed=spec.seed, standardize=spec.standardize)
     except ValueError as exc:
         raise ValueError(f"every grid point failed: {exc}") from None
-    y = np.asarray(y, dtype=np.int64)  # checked by the context, so the cast drops no fraction
-    fp = dataset_fingerprint(X, y) + f"|{spec.holdout}|{spec.seed}|{spec.standardize}"
     rows = []
-    hits = 0
     for cfg in spec.grid:
-        key = f"{fp}||{cfg!r}"
-        acc = None
-        err = None
-        if cache is not None and key in cache:
-            acc = cache[key]
-            hits += 1
-        else:
-            try:
-                acc = featsel.holdout_accuracies(ctx, cfg, np.ones((1, ctx.n_features), bool))[0]
-                if cache is not None:
-                    cache[key] = acc
-            except (ValueError, FloatingPointError) as exc:
-                err = str(exc)
+        acc = err = None
+        try:
+            acc = featsel.holdout_accuracies(ctx, cfg, np.ones((1, ctx.n_features), bool))[0]
+        except (ValueError, FloatingPointError) as exc:
+            err = str(exc)
         rows.append((cfg, acc, err))
     scored = [idx for idx, (_, acc, _) in enumerate(rows) if acc is not None]
     if not scored:
@@ -120,7 +98,7 @@ def grid_search(X, y, spec: GridSearchSpec, cache: dict | None = None) -> GridSe
         raise ValueError(f"every grid point failed: {errors}")
     best_idx = max(scored, key=lambda idx: rows[idx][1])  # the first of equal accuracies
     return GridSearchResult(best_config=spec.grid[best_idx], best_accuracy=rows[best_idx][1],
-                            rows=tuple(rows), from_cache=hits)
+                            rows=tuple(rows))
 
 
 # ------------------------------------------------------- threshold calibration
@@ -341,9 +319,14 @@ def load_results(path) -> list:
             sysname, fs, kind, nf, acc, seed, converged = fields
             if converged not in ("0", "1"):
                 raise ValueError(f"converged must be 0 or 1, got {converged!r}")
-            out.append(ExperimentResult(system=sysname, fs_method=fs, classifier=kind,
-                                        n_features=int(nf), accuracy=float(acc),
-                                        seed=int(seed), converged=converged == "1"))
+            row = ExperimentResult(system=sysname, fs_method=fs, classifier=kind,
+                                   n_features=int(nf), accuracy=float(acc), seed=int(seed),
+                                   converged=converged == "1")
+            if not 0 <= row.accuracy <= 1:  # NaN fails too
+                raise ValueError(f"accuracy must be in [0, 1], got {acc!r}")
+            if row.n_features < 1:
+                raise ValueError(f"n_features must be at least 1, got {nf!r}")
+            out.append(row)
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from None
     return out

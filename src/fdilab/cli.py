@@ -19,7 +19,6 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
-import json
 import os
 import sys as _sys
 from pathlib import Path
@@ -205,19 +204,8 @@ def cmd_gridsearch(args) -> int:
                                       standardize=cfg["standardize"])
                  for kind in cfg["classifier"]]
     ds = _load_dataset_arg(args)
-    # cells are filed under the code fingerprint, so accuracies that other
-    # code computed are never served
-    code = _code_fingerprint()
-    cache_path = Path(cfg["out_dir"]) / "gridsearch_cache.json"
-    cache = {}
-    if cache_path.exists():
-        try:
-            stored = json.loads(cache_path.read_text()).get(code, {})
-            cache = {key: float(acc) for key, acc in stored.items()}
-        except (ValueError, TypeError, AttributeError) as exc:
-            _ignore_corrupt_cache(cache_path, exc)
     try:  # every grid point failed: the dataset cannot train this classifier
-        results = [bench.grid_search(ds.X, ds.y, spec, cache=cache) for spec in specs]
+        results = [bench.grid_search(ds.X, ds.y, spec) for spec in specs]
     except ValueError as exc:
         raise ConfigError(f"{args.dataset}: {exc}") from None
     out = _out_dir(cfg)
@@ -234,9 +222,7 @@ def cmd_gridsearch(args) -> int:
             for fld, val in dataclasses.asdict(res.best_config).items():
                 fh.write(f"{fld} = {val}\n")
             fh.write(f"holdout_accuracy = {res.best_accuracy!r}\n")
-        print(f"{kind}: best {res.best_config} holdout accuracy {res.best_accuracy:.4f} "
-              f"({res.from_cache} of {len(res.rows)} cells from cache)")
-    cache_path.write_text(json.dumps({code: cache}, indent=0, sort_keys=True))
+        print(f"{kind}: best {res.best_config} holdout accuracy {res.best_accuracy:.4f}")
     return 0
 
 
@@ -299,15 +285,8 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _ignore_corrupt_cache(path: Path, exc: Exception) -> None:
-    """Warn that a cache fdilab derived itself is unreadable; the caller
-    recomputes it and overwrites the file."""
-    print(f"fdilab: warning: ignoring corrupt cache {path} ({type(exc).__name__}: {exc})",
-          file=_sys.stderr)
-
-
 def _code_fingerprint() -> str:
-    """Digest of the package version, sources and bundled cases; keys the cache and manifest."""
+    """Digest of the package version, sources and bundled cases; heads the manifest."""
     h = hashlib.sha256(__version__.encode())
     root = Path(__file__).parent
     for path in sorted([*root.glob("*.py"), *root.glob("cases/*.csv")]):
@@ -333,14 +312,16 @@ def _row_labels_for(ds) -> list:
 
 # -------------------------------------------------------------------- parser
 
-_COMMON = ("seed", "out_dir", "noise_sigma", "load_var", "attack_ratio", "standardize")
-# subcommand -> (help, the config keys it takes as flags besides _COMMON)
+_COMMON = ("seed", "out_dir")
+_SIMULATION = ("noise_sigma", "load_var", "attack_ratio")
+# subcommand -> (help, the config keys it reads and takes as flags besides _COMMON)
 _SUBCOMMANDS = {
-    "generate": ("simulate a labeled dataset", ("case", "n", "max_targets")),
-    "gridsearch": ("hyperparameter search on a dataset", ("classifier", "holdout")),
-    "select": ("run feature selection on a dataset", ("fs", "wrapper_k")),
+    "generate": ("simulate a labeled dataset", ("case", "n", "max_targets", *_SIMULATION)),
+    "gridsearch": ("hyperparameter search on a dataset", ("classifier", "holdout", "standardize")),
+    "select": ("run feature selection on a dataset", ("fs", "wrapper_k", "standardize")),
     "benchmark": ("full FS x classifier x system matrix",
-                  ("systems", "fs", "classifier", "n_train", "n_test", "threads")),
+                  ("systems", "fs", "classifier", "n_train", "n_test", "threads", *_SIMULATION,
+                   "standardize")),
 }
 
 

@@ -392,13 +392,24 @@ class TestDatasetIO:
             with pytest.raises(ValueError, match="line 3"):
                 load_dataset(p)
 
-    @pytest.mark.parametrize("field", ["1_5", "\u0661\u0665"])
-    def test_fields_loadtxt_rejects_name_their_line(self, tmp_path, field):
-        # Python's float reads both (15.0); the line scan parses as np.loadtxt does
+    @pytest.mark.parametrize("field, row", [
+        pytest.param("1_5", "1_5,0.2,1", id="1_5"),
+        pytest.param("\u0661\u0665", "\u0661\u0665,0.2,1", id="\u0661\u0665"),
+        pytest.param("0_1", "0.1,0.2,0_1", id="label 0_1"),
+        pytest.param("\u0660", "0.1,0.2,\u0660", id="label \u0660"),
+    ])
+    def test_fields_loadtxt_rejects_name_their_line(self, tmp_path, field, row):
+        # Python's float reads the features (15.0) and int the labels (1, 0); the
+        # line scan parses as np.loadtxt does, and a label is only 0 or 1
         p = tmp_path / "bad.csv"
-        p.write_text(f"f1,f2,label\n{field},0.2,1\n0.3,0.4,0\n")
+        p.write_text(f"f1,f2,label\n{row}\n0.3,0.4,0\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))} line 2: .*'{field}'"):
             load_dataset(p)
+
+    def test_label_may_have_surrounding_whitespace(self, tmp_path):
+        p = tmp_path / "spaced.csv"
+        p.write_text("f1,label\n0.1, 1 \n0.2,0\n")
+        assert load_dataset(p).y.tolist() == [1, 0]
 
     def test_header_without_rows(self, tmp_path):
         p = tmp_path / "empty.csv"

@@ -33,7 +33,7 @@ from fdilab import (
 )
 from fdilab import bench, classify, featsel
 from fdilab.attack import batch_residuals
-from fdilab.bench import RESULTS_HEADER, _experiment_datasets, dataset_fingerprint, subseed
+from fdilab.bench import RESULTS_HEADER, _experiment_datasets, subseed
 from fdilab.classify import AnnConfig, SvmConfig
 from fdilab.featsel import BcsParams, BpsoParams, GaParams
 
@@ -64,15 +64,6 @@ class TestSubseed:
         for master in (0, 7, 2 ** 40):
             s = subseed(master, "train")
             assert 0 <= s < 2 ** 63
-
-    def test_fingerprint_tracks_data(self):
-        X = np.ones((3, 2))
-        y = np.zeros(3, dtype=np.int64)
-        a = dataset_fingerprint(X, y)
-        assert a == dataset_fingerprint(X.copy(), y.copy())
-        X2 = X.copy()
-        X2[0, 0] = 2.0
-        assert a != dataset_fingerprint(X2, y)
 
 
 class TestDefaultGrids:
@@ -148,22 +139,6 @@ class TestGridSearch:
         with pytest.raises(ValueError, match=r"^every grid point failed: labels must be 0 or 1$"):
             grid_search(X, np.where(np.arange(len(y)) == 7, 0.5, y), GridSearchSpec(
                 "knn", (KnnConfig(k=3),)))
-
-    def test_cache_reuse_and_isolation(self):
-        X, y = tiny_dataset()
-        grid = tuple(KnnConfig(k=k) for k in (1, 3, 5))
-        cache = {}
-        spec = GridSearchSpec("knn", grid)
-        first = grid_search(X, y, spec, cache=cache)
-        assert first.from_cache == 0
-        assert len(cache) == 3
-        second = grid_search(X, y, spec, cache=cache)
-        assert second.from_cache == 3
-        assert second.best_accuracy == first.best_accuracy
-        # a different dataset must not hit the same keys
-        X2, y2 = tiny_dataset(seed=9)
-        third = grid_search(X2, y2, spec, cache=cache)
-        assert third.from_cache == 0
 
     @pytest.mark.parametrize("standardize", [True, False])
     @pytest.mark.parametrize("kind", ["knn", "svm", "ann"])
@@ -252,7 +227,7 @@ class TestExperimentSpec:
         spec = small_spec()
         train, test = _experiment_datasets(spec, load_builtin("ieee14"))
         assert train.n_samples == 120 and test.n_samples == 60
-        assert dataset_fingerprint(train.X, train.y) != dataset_fingerprint(test.X, test.y)
+        assert not np.array_equal(train.X[:test.n_samples], test.X)
 
 
 class TestRunMatrix:
@@ -414,6 +389,13 @@ class TestResultsIO:
         p.write_text(f"{RESULTS_HEADER}\n{row[:-1]}yes\n")  # a converged flag not 0 or 1
         with pytest.raises(ValueError, match=r"other\.csv line 2: converged must be 0 or 1"):
             load_results(p)
+        for bad, message in (("ieee14,none,knn,34,nan,0,1", r"accuracy must be in \[0, 1\]"),
+                             ("ieee14,none,knn,34,1.5,0,1", r"accuracy must be in \[0, 1\]"),
+                             ("ieee14,none,knn,-3,0.9,0,1", "n_features must be at least 1"),
+                             ("ieee14,none,knn,0,0.9,0,1", "n_features must be at least 1")):
+            p.write_text(f"{RESULTS_HEADER}\n{row}\n{bad}\n")
+            with pytest.raises(ValueError, match=rf"other\.csv line 3: {message}"):
+                load_results(p)
 
 
 class TestReport:

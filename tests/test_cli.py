@@ -1,7 +1,6 @@
 """Command-line interface: exit codes, subcommand behavior, config layering,
 and byte-identical benchmark reruns."""
 
-import json
 import os
 import re
 import shutil
@@ -158,36 +157,31 @@ class TestConfigFile:
 
 
 class TestGridsearchCmd:
-    def test_outputs_and_cache_reuse(self, tmp_path, capsys):
+    def test_outputs_and_byte_identical_rerun(self, tmp_path, capsys):
         ds_path = tmp_path / "ds.csv"
         assert run(["generate", "--case", "ieee14", "--n", "120", "--seed", "5",
                     "--out", str(ds_path), "--out-dir", str(tmp_path)]) == 0
         out_dir = tmp_path / "gs"
-        assert run(["gridsearch", "--dataset", str(ds_path), "--classifier", "knn",
-                    "--out-dir", str(out_dir)]) == 0
-        first = capsys.readouterr().out
-        assert "0 of 20 cells from cache" in first
-        assert (out_dir / "grid_knn.csv").exists()
-        assert (out_dir / "best_knn.txt").exists()
-        assert "k = " in (out_dir / "best_knn.txt").read_text()
-        assert run(["gridsearch", "--dataset", str(ds_path), "--classifier", "knn",
-                    "--out-dir", str(out_dir)]) == 0
-        assert "20 of 20 cells from cache" in capsys.readouterr().out
-
-    def test_code_change_invalidates_cached_cells(self, tmp_path, capsys, monkeypatch):
-        ds_path = tmp_path / "ds.csv"
-        assert run(["generate", "--case", "ieee14", "--n", "120", "--seed", "5",
-                    "--out", str(ds_path), "--out-dir", str(tmp_path)]) == 0
-        argv = ["gridsearch", "--dataset", str(ds_path), "--classifier", "knn",
-                "--out-dir", str(tmp_path / "gs")]
-        assert run(argv) == 0
+        argv = ["gridsearch", "--dataset", str(ds_path), "--classifier", "knn,svm",
+                "--out-dir", str(out_dir)]
         capsys.readouterr()
-        monkeypatch.setattr(cli, "_code_fingerprint", lambda: "other code")
         assert run(argv) == 0
-        assert "(0 of 20 cells from cache)" in capsys.readouterr().out
+        first = capsys.readouterr().out
+        assert "cache" not in first
+        names = {f"{stem}_{kind}.{ext}" for kind in ("knn", "svm")
+                 for stem, ext in (("grid", "csv"), ("best", "txt"))}
+        assert {p.name for p in out_dir.iterdir()} == names
+        assert "k = " in (out_dir / "best_knn.txt").read_text()
+        outputs = {name: (out_dir / name).read_bytes() for name in names}
+        for name in names:  # the rerun recomputes and writes every output again
+            (out_dir / name).unlink()
+        assert run(argv) == 0
+        assert capsys.readouterr().out == first
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == outputs
 
     def test_code_digest_covers_bundled_cases(self, tmp_path, monkeypatch):
-        # a case file's bytes change every benchmark result, so they key the cache too
+        # a case file's bytes change every benchmark result, so the manifest's code
+        # digest covers them
         package = tmp_path / "fdilab"
         shutil.copytree(Path(cli.__file__).parent, package,
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -197,28 +191,6 @@ class TestGridsearchCmd:
         case = package / "cases" / "ieee14.csv"
         case.write_text(case.read_text() + "\n")
         assert cli._code_fingerprint() != original
-
-    @pytest.mark.parametrize("text", ['{"truncated": ', None],
-                             ids=["not JSON", "entry not a mapping"])
-    def test_corrupt_cache_is_recomputed(self, tmp_path, capsys, text):
-        ds_path = tmp_path / "ds.csv"
-        assert run(["generate", "--case", "ieee14", "--n", "120", "--seed", "5",
-                    "--out", str(ds_path), "--out-dir", str(tmp_path)]) == 0
-        argv = ["gridsearch", "--dataset", str(ds_path), "--classifier", "knn",
-                "--out-dir", str(tmp_path / "gs")]
-        assert run(argv) == 0
-        first = (tmp_path / "gs" / "grid_knn.csv").read_bytes()
-        capsys.readouterr()
-        cache_path = tmp_path / "gs" / "gridsearch_cache.json"
-        cache_path.write_text(text or json.dumps({cli._code_fingerprint(): [0.5]}))
-        assert run(argv) == 0
-        captured = capsys.readouterr()
-        assert "(0 of 20 cells from cache)" in captured.out
-        assert captured.err.count("\n") == 1
-        assert "warning: ignoring corrupt cache" in captured.err
-        assert (tmp_path / "gs" / "grid_knn.csv").read_bytes() == first
-        assert run(argv) == 0
-        assert "20 of 20 cells from cache" in capsys.readouterr().out
 
     def test_missing_dataset_is_config_error(self, tmp_path):
         assert run(["gridsearch", "--dataset", str(tmp_path / "no.csv"),
@@ -501,8 +473,7 @@ class TestOutOfRange:
              "--n-train", "40", "--n-test", "30"]
 
     @pytest.mark.parametrize("argv, config, name", [
-        (["generate", "--case", "ieee14", "--n", "20", "--standardize", "maybe"], "",
-         "--standardize"),
+        (["gridsearch", "--standardize", "maybe"], "", "--standardize"),
         (["generate", "--case", "ieee14", "--n", "20", "--seed", "abc"], "", "--seed"),
         (["generate", "--case", "ieee14", "--n", "20", "--attack-ratio", "2"], "",
          "attack_ratio"),
@@ -546,14 +517,16 @@ class TestOutOfRange:
 
 
 class TestParser:
-    COMMON = ["seed", "out_dir", "noise_sigma", "load_var", "attack_ratio", "standardize"]
+    COMMON = ["seed", "out_dir"]
+    SIMULATION = ["noise_sigma", "load_var", "attack_ratio"]
     # subcommand -> (the config keys it takes as flags, its other options)
     FLAGS = {
-        "generate": (COMMON + ["case", "n", "max_targets"], ["--config", "--out"]),
-        "gridsearch": (COMMON + ["classifier", "holdout"], ["--config", "--dataset"]),
-        "select": (COMMON + ["fs", "wrapper_k"], ["--config", "--dataset"]),
-        "benchmark": (COMMON + ["systems", "fs", "classifier", "n_train", "n_test", "threads"],
-                      ["--config"]),
+        "generate": (COMMON + ["case", "n", "max_targets"] + SIMULATION, ["--config", "--out"]),
+        "gridsearch": (COMMON + ["classifier", "holdout", "standardize"],
+                       ["--config", "--dataset"]),
+        "select": (COMMON + ["fs", "wrapper_k", "standardize"], ["--config", "--dataset"]),
+        "benchmark": (COMMON + ["systems", "fs", "classifier", "n_train", "n_test", "threads"]
+                      + SIMULATION + ["standardize"], ["--config"]),
         "report": ([], ["--results"]),
     }
     TEXT = {tuple: "a,b", bool: "no", int: "7", float: "0.5", str: "x"}
@@ -569,12 +542,27 @@ class TestParser:
             argv += ["--dataset", "d.csv"]
         assert cli._resolve(cli.build_parser().parse_args(argv))[key] == caster(text)
 
+    @pytest.mark.parametrize("command, key", [
+        ("generate", "standardize"),
+        *(("gridsearch", key) for key in SIMULATION),
+        *(("select", key) for key in SIMULATION),
+    ])
+    def test_flag_of_a_key_the_command_does_not_read_is_usage_error(self, capsys, command,
+                                                                    key):
+        # a setting the command would ignore is refused, not silently accepted
+        flag = "--" + key.replace("_", "-")
+        argv = [command, flag, self.TEXT[type(CONFIG_KEYS[key][1])]]
+        if command in ("gridsearch", "select"):
+            argv += ["--dataset", "d.csv"]
+        assert run(argv) == 1
+        assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, flag", [
-        (["select", "--dataset", "d.csv", "--fs", "ga", "--n", "5"], "--n"),
+        (["benchmark", "--n", "5"], "--n"),
         (["benchmark", "--n-tr", "40"], "--n-tr"),
     ])
     def test_abbreviated_flag_is_usage_error(self, capsys, argv, flag):
-        # no prefix matching: --n is not read as --noise-sigma
+        # no prefix matching: --n is not read as --n-train, --n-test or --noise-sigma
         assert run(argv) == 1
         assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
 
