@@ -286,9 +286,8 @@ def load_dataset(path) -> Dataset:
         n_lines = 0
 
         def parse(rows):  # one grammar for the body and for each line the scan reads
-            # a label is 0 or 1 inside whitespace: int would also read 0_1 or \u0660
             return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
-                              converters={m: lambda field: ("0", "1").index(field.strip())})
+                              converters={m: _parse_label})
 
         def lines():
             nonlocal n_lines
@@ -311,6 +310,7 @@ def load_dataset(path) -> Dataset:
                 try:
                     if line.count(",") != m:
                         raise ValueError(f"expected {m + 1} fields")
+                    _parse_label(line.rpartition(",")[2])  # loadtxt would say float64
                     if not np.isfinite(parse([line])[0, :m]).all():
                         raise ValueError("non-finite feature")
                 except (ValueError, OverflowError) as exc:  # loadtxt counts rows from 0
@@ -327,6 +327,14 @@ def load_dataset(path) -> Dataset:
                 key, _, val = line.partition("=")
                 meta[key.strip()] = _parse_meta_value(val.strip())
     return Dataset(X=X, y=y, meta=meta)
+
+
+def _parse_label(field: str) -> int:
+    """A label field is 0 or 1 inside whitespace: int would also read 0_1 or \u0660."""
+    text = field.strip()
+    if text not in ("0", "1"):
+        raise ValueError(f"label must be 0 or 1, got {text!r}")
+    return int(text)
 
 
 def _parse_meta_value(text: str):

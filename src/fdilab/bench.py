@@ -78,7 +78,7 @@ def grid_search(X, y, spec: GridSearchSpec) -> GridSearchResult:
     Ties go to the earliest grid point.
     """
     try:  # input the context rejects fails every grid point
-        # k=1 keeps the context's wrapper-k check off the grid's own k values
+        # k=1 keeps the context's k check off the grid's own k values
         ctx = featsel.make_fitness_context(
             X, y, spec.classifier, KnnConfig(k=1) if spec.classifier == "knn" else None,
             val_fraction=spec.holdout, seed=spec.seed, standardize=spec.standardize)
@@ -140,7 +140,6 @@ class ExperimentSpec:
     bcs: BcsParams = BcsParams()
     bpso: BpsoParams = BpsoParams()
     ga: GaParams = GaParams()
-    wrapper_k: int = 12
     val_fraction: float = 0.2
     threads: int = 1
 
@@ -159,8 +158,6 @@ class ExperimentSpec:
             raise ValueError("need 0 < magnitude_low <= magnitude_high")
         if not 0 < self.val_fraction < 1:
             raise ValueError("val_fraction must be in (0, 1)")
-        if self.wrapper_k < 1:
-            raise ValueError("wrapper_k must be at least 1")
         if self.threads < 1:
             raise ValueError(f"threads must be a positive integer, got {self.threads}")
         for fs in self.fs_methods:
@@ -188,12 +185,10 @@ class ExperimentResult:
 
 def check_spec(spec: ExperimentSpec, systems) -> None:
     """Raise ValueError, naming the config key, for sizes run_matrix would
-    reject part-way through: knn_k above the training rows, wrapper_k above
-    the wrapper training rows when a search runs, max_targets above a
-    system's state count, and one-class training rows for svm or ann (knn
-    trains on one class)."""
-    if "knn" in spec.classifiers and spec.knn.k > spec.n_train:
-        raise ValueError(f"knn_k = {spec.knn.k} exceeds the {spec.n_train} training rows")
+    reject part-way through: one-class training rows for svm or ann (knn
+    trains on one class), knn_k above the fewest rows a KNN trains on (the
+    wrapper's training rows when a search runs, else n_train when knn is a
+    classifier) and max_targets above a system's state count."""
     n_attacked = math.floor(spec.n_train * spec.attack_ratio)
     if n_attacked in (0, spec.n_train) and {"svm", "ann"} & set(spec.classifiers):
         raise ValueError(f"attack_ratio = {spec.attack_ratio} gives {n_attacked} attacked of "
@@ -201,9 +196,12 @@ def check_spec(spec: ExperimentSpec, systems) -> None:
                          "classes")
     wrapper_rows = spec.n_train - sum(classify.holdout_size(size, spec.val_fraction)
                                       for size in (n_attacked, spec.n_train - n_attacked) if size)
-    if set(spec.fs_methods) - {"none"} and spec.wrapper_k > wrapper_rows:
-        raise ValueError(f"wrapper_k = {spec.wrapper_k} exceeds the {wrapper_rows} "
-                         "wrapper training rows")
+    searches = set(spec.fs_methods) - {"none"}
+    if searches or "knn" in spec.classifiers:
+        rows, what = ((wrapper_rows, "wrapper training rows") if searches
+                      else (spec.n_train, "training rows"))
+        if spec.knn.k > rows:
+            raise ValueError(f"knn_k = {spec.knn.k} exceeds the {rows} {what}")
     for sys in systems:
         if spec.max_targets > sys.n_states:
             raise ValueError(f"max_targets = {spec.max_targets} exceeds the "
@@ -226,7 +224,7 @@ def wrapper_searches(spec: ExperimentSpec, system: str, X, y):
     system's training rows; the methods share its mask cache, as fitness is
     a pure function of the mask."""
     ctx = featsel.make_fitness_context(
-        X, y, classifier="knn", config=KnnConfig(k=spec.wrapper_k),
+        X, y, classifier="knn", config=spec.knn,
         val_fraction=spec.val_fraction, seed=subseed(spec.seed, system, "wrapper-split"),
         standardize=spec.standardize)
 
@@ -322,10 +320,18 @@ def load_results(path) -> list:
             row = ExperimentResult(system=sysname, fs_method=fs, classifier=kind,
                                    n_features=int(nf), accuracy=float(acc), seed=int(seed),
                                    converged=converged == "1")
+            if not sysname:
+                raise ValueError("system must not be empty")
+            if fs != "none" and fs not in featsel.SEARCHERS:
+                raise ValueError(f"unknown FS method {fs!r}")
+            if kind not in classify.CONFIGS:
+                raise ValueError(f"unknown classifier {kind!r}")
             if not 0 <= row.accuracy <= 1:  # NaN fails too
                 raise ValueError(f"accuracy must be in [0, 1], got {acc!r}")
             if row.n_features < 1:
                 raise ValueError(f"n_features must be at least 1, got {nf!r}")
+            if row.seed < 0:
+                raise ValueError(f"seed must be non-negative, got {seed!r}")
             out.append(row)
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from None

@@ -90,10 +90,9 @@ def _spec_keys():
             yield _ALIASES.get(key, key), f.name, sub.name, getattr(value, sub.name)
 
 
-# every known config key: name -> (caster, default); the last four are CLI-only
+# every known config key: name -> (caster, default); the last three are CLI-only
 CONFIG_KEYS = {key: (_caster(default), default) for key, _, _, default in _spec_keys()}
-CONFIG_KEYS.update({"holdout": (float, bench.GridSearchSpec.holdout), "case": (str, ""),
-                    "n": (int, 1000), "out_dir": (str, "runs")})
+CONFIG_KEYS.update({"case": (str, ""), "n": (int, 1000), "out_dir": (str, "runs")})
 
 
 def _read_config_file(path: Path) -> dict:
@@ -198,18 +197,18 @@ def cmd_generate(args) -> int:
 
 def cmd_gridsearch(args) -> int:
     cfg = _resolve(args)
-    with _config_errors():
-        specs = [bench.GridSearchSpec(classifier=kind, grid=bench.default_grid(kind),
-                                      holdout=cfg["holdout"], seed=cfg["seed"],
-                                      standardize=cfg["standardize"])
-                 for kind in cfg["classifier"]]
+    spec = _experiment_spec(cfg)
+    specs = [bench.GridSearchSpec(classifier=kind, grid=bench.default_grid(kind),
+                                  holdout=spec.val_fraction, seed=spec.seed,
+                                  standardize=spec.standardize)
+             for kind in spec.classifiers]
     ds = _load_dataset_arg(args)
     try:  # every grid point failed: the dataset cannot train this classifier
-        results = [bench.grid_search(ds.X, ds.y, spec) for spec in specs]
+        results = [bench.grid_search(ds.X, ds.y, grid_spec) for grid_spec in specs]
     except ValueError as exc:
         raise ConfigError(f"{args.dataset}: {exc}") from None
     out = _out_dir(cfg)
-    for kind, res in zip(cfg["classifier"], results):
+    for kind, res in zip(spec.classifiers, results):
         grid_csv = out / f"grid_{kind}.csv"
         with grid_csv.open("w", newline="") as fh:
             writer = csv.writer(fh)
@@ -317,8 +316,9 @@ _SIMULATION = ("noise_sigma", "load_var", "attack_ratio")
 # subcommand -> (help, the config keys it reads and takes as flags besides _COMMON)
 _SUBCOMMANDS = {
     "generate": ("simulate a labeled dataset", ("case", "n", "max_targets", *_SIMULATION)),
-    "gridsearch": ("hyperparameter search on a dataset", ("classifier", "holdout", "standardize")),
-    "select": ("run feature selection on a dataset", ("fs", "wrapper_k", "standardize")),
+    "gridsearch": ("hyperparameter search on a dataset",
+                   ("classifier", "val_fraction", "standardize")),
+    "select": ("run feature selection on a dataset", ("fs", "knn_k", "standardize")),
     "benchmark": ("full FS x classifier x system matrix",
                   ("systems", "fs", "classifier", "n_train", "n_test", "threads", *_SIMULATION,
                    "standardize")),

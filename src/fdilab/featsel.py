@@ -69,7 +69,7 @@ class FitnessContext:
         tr, va = (np.asarray(r, dtype=np.intp) for r in rows)
         self.y_train, self.y_val = y[tr].astype(np.int64), y[va].astype(np.int64)
         if self.classifier == "knn" and self.config.k > len(tr):
-            raise ValueError(f"wrapper k={self.config.k} exceeds the "
+            raise ValueError(f"knn_k={self.config.k} exceeds the "
                              f"{len(tr)} wrapper training rows")
         # the training rows are taken once for the stats, in the order they are
         # reduced in, and once more to scale: a raw split never sits beside a copy

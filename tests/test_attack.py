@@ -320,7 +320,7 @@ class TestMemoryBounds:
 
     def test_generate_peak(self):
         # at the solve: X, the state-bus injections, the transposed solution
-        # and the attack shifts (2.01 x measured)
+        # and the attack shifts (2.08 x measured)
         ds, peak = _traced_peak(lambda: generate_dataset(load_builtin("ieee118"), *self.ARGS))
         assert peak <= 2.1 * ds.X.nbytes
 
@@ -404,6 +404,14 @@ class TestDatasetIO:
         p = tmp_path / "bad.csv"
         p.write_text(f"f1,f2,label\n{row}\n0.3,0.4,0\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))} line 2: .*'{field}'"):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("label", ["2", "yes", " 2 "])
+    def test_bad_label_names_the_label_rule(self, tmp_path, label):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"f1,f2,label\n0.1,0.2,1\n0.3,0.4,{label}\n")
+        message = f"{p} line 3: label must be 0 or 1, got {label.strip()!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_dataset(p)
 
     def test_label_may_have_surrounding_whitespace(self, tmp_path):

@@ -392,7 +392,13 @@ class TestResultsIO:
         for bad, message in (("ieee14,none,knn,34,nan,0,1", r"accuracy must be in \[0, 1\]"),
                              ("ieee14,none,knn,34,1.5,0,1", r"accuracy must be in \[0, 1\]"),
                              ("ieee14,none,knn,-3,0.9,0,1", "n_features must be at least 1"),
-                             ("ieee14,none,knn,0,0.9,0,1", "n_features must be at least 1")):
+                             ("ieee14,none,knn,0,0.9,0,1", "n_features must be at least 1"),
+                             (",none,knn,34,0.9,0,1", "system must not be empty"),
+                             ("ieee14,nofs,knn,34,0.9,0,1", "unknown FS method 'nofs'"),
+                             ("ieee14,,knn,34,0.9,0,1", "unknown FS method ''"),
+                             ("ieee14,none,forest,34,0.9,0,1", "unknown classifier 'forest'"),
+                             ("ieee14,none,knn,34,0.9,-5,1", "seed must be non-negative"),
+                             ("ieee14,nofs,forest,34,0.9,-5,1", "unknown FS method")):
             p.write_text(f"{RESULTS_HEADER}\n{row}\n{bad}\n")
             with pytest.raises(ValueError, match=rf"other\.csv line 3: {message}"):
                 load_results(p)

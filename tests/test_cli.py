@@ -149,6 +149,11 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="not found"):
             _read_config_file(tmp_path / "nope.cfg")
 
+    def test_every_key_is_a_spec_field_or_cli_only(self):
+        # a key no code reads cannot sit in the table unnoticed
+        spec_keys = {key for key, *_ in cli._spec_keys()}
+        assert set(CONFIG_KEYS) == spec_keys | {"case", "n", "out_dir"}
+
     def test_every_key_has_caster_and_default(self):
         for key, (caster, default) in CONFIG_KEYS.items():
             assert callable(caster)
@@ -212,6 +217,12 @@ class TestGridsearchCmd:
                                            "training data must contain both classes\n")
         assert not out_dir.exists()   # the KNN grid succeeded, but nothing is written
 
+    def test_repeated_classifier_rejected_before_reading_the_dataset(self, tmp_path, capsys):
+        assert run(["gridsearch", "--dataset", str(tmp_path / "no.csv"),
+                    "--classifier", "knn,knn", "--out-dir", str(tmp_path / "gs")]) == 1
+        assert capsys.readouterr().err == "fdilab: repeated classifier: knn,knn\n"
+        assert not (tmp_path / "gs").exists()
+
     def test_unknown_classifier_rejected(self, tmp_path):
         ds_path = tmp_path / "ds.csv"
         run(["generate", "--case", "ieee14", "--n", "30", "--seed", "0",
@@ -263,7 +274,7 @@ class TestSelectCmd:
         assert run(["generate", "--case", "ieee14", "--n", "40", "--seed", "0",
                     "--out", str(ds_path), "--out-dir", str(tmp_path)]) == 0
         capsys.readouterr()
-        assert run(["select", "--dataset", str(ds_path), "--fs", "ga", "--wrapper-k", "50",
+        assert run(["select", "--dataset", str(ds_path), "--fs", "ga", "--knn-k", "50",
                     "--out-dir", str(tmp_path)]) == 1
         assert "k=50 exceeds the 32 wrapper training rows" in capsys.readouterr().err
 
@@ -372,8 +383,8 @@ class TestBenchmarkCmd:
             assert (dir_b / name).read_bytes() == (dir_a / name).read_bytes()
 
     @pytest.mark.parametrize("key, value, message", [
-        ("knn_k", 50, "knn_k = 50 exceeds the 40 training rows"),
-        ("wrapper_k", 50, "wrapper_k = 50 exceeds the 32 wrapper training rows"),
+        # a search runs, so the wrapper's 32 training rows bound knn_k, not n_train
+        ("knn_k", 35, "knn_k = 35 exceeds the 32 wrapper training rows"),
         ("max_targets", 500, "max_targets = 500 exceeds the 13 states of ieee14"),
     ])
     def test_size_above_its_limit_is_config_error(self, tmp_path, capsys, key, value, message):
@@ -387,14 +398,14 @@ class TestBenchmarkCmd:
         assert not out_dir.exists()  # rejected before any work
 
     def test_fs_none_skips_the_wrapper(self, tmp_path, monkeypatch):
-        # no search runs, so neither the wrapper context nor its wrapper_k check applies
+        # no search runs and knn is no classifier, so no KNN trains and knn_k is not checked
         def no_context(*args, **kwargs):
             raise AssertionError("wrapper context built without a search")
 
         monkeypatch.setattr(cli.featsel, "make_fitness_context", no_context)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("wrapper_k = 50\n")
-        assert run(["benchmark", "--systems", "ieee14", "--fs", "none", "--classifier", "knn",
+        cfg.write_text("knn_k = 50\n")
+        assert run(["benchmark", "--systems", "ieee14", "--fs", "none", "--classifier", "svm",
                     "--n-train", "40", "--n-test", "30", "--config", str(cfg),
                     "--out-dir", str(tmp_path / "bench")]) == 0
 
@@ -477,15 +488,23 @@ class TestOutOfRange:
         (["generate", "--case", "ieee14", "--n", "20", "--seed", "abc"], "", "--seed"),
         (["generate", "--case", "ieee14", "--n", "20", "--attack-ratio", "2"], "",
          "attack_ratio"),
-        (["select", "--fs", "ga", "--wrapper-k", "50"], "", "k=50"),
-        (["gridsearch", "--holdout", "1.5"], "", "holdout"),
+        (["select", "--fs", "ga", "--knn-k", "50"], "", "knn_k=50"),
+        (["gridsearch", "--val-fraction", "1.5"], "", "val_fraction"),
+        (["gridsearch", "--classifier", "knn,knn"], "", "repeated classifier: knn,knn"),
+        # the removed keys: each setting has one key, which every subcommand reads
+        (["select", "--fs", "ga", "--wrapper-k", "12"], "",
+         "unrecognized arguments: --wrapper-k"),
+        (["gridsearch", "--holdout", "0.2"], "", "unrecognized arguments: --holdout"),
+        (BENCH, "wrapper_k = 12\n", "unknown key 'wrapper_k'"),
+        (["gridsearch"], "holdout = 0.2\n", "unknown key 'holdout'"),
         (BENCH + ["--attack-ratio", "2"], "", "attack_ratio"),
         (BENCH + ["--noise-sigma", "-1"], "", "noise_sigma"),
         (BENCH + ["--load-var", "1.5"], "", "load_var"),
         (BENCH + ["--n-test", "1"], "", "n_test"),
         (BENCH, "magnitude_low = 0.5\nmagnitude_high = 0.1\n", "magnitude_low"),
         (BENCH, "val_fraction = 1.5\n", "val_fraction"),
-        (BENCH, "wrapper_k = 0\n", "wrapper_k"),
+        (BENCH, "knn_k = 0\n", "k must be at least 1"),
+        (BENCH, "knn_k = 50\n", "knn_k = 50 exceeds the 40 training rows"),
         (BENCH + ["--classifier", "knn,svm,knn"], "", "repeated classifier: knn,svm,knn"),
         # floor(n_train * attack_ratio) of 0 or n_train leaves svm and ann one class
         (BENCH + ["--classifier", "svm", "--attack-ratio", "0"], "",
@@ -494,10 +513,11 @@ class TestOutOfRange:
          "attack_ratio = 0.01 gives 0 attacked of the 40 training rows (n_train)"),
         (BENCH + ["--classifier", "knn,svm", "--attack-ratio", "1"], "",
          "attack_ratio = 1.0 gives 40 attacked of the 40 training rows (n_train)"),
-    ], ids=["standardize", "seed", "generate attack_ratio", "select wrapper_k", "holdout",
-            "attack_ratio", "noise_sigma", "load_var", "n_test", "magnitudes", "val_fraction",
-            "wrapper_k", "repeated classifier", "one-class svm", "one-class ann",
-            "all-attacked svm"])
+    ], ids=["standardize", "seed", "generate attack_ratio", "select knn_k",
+            "gridsearch val_fraction", "gridsearch repeated classifier", "select wrapper_k",
+            "holdout", "wrapper_k", "holdout key", "attack_ratio", "noise_sigma", "load_var",
+            "n_test", "magnitudes", "val_fraction", "knn_k", "knn_k above n_train",
+            "repeated classifier", "one-class svm", "one-class ann", "all-attacked svm"])
     def test_setting_is_config_error_before_any_work(self, tmp_path, capsys, argv, config,
                                                      name):
         argv = list(argv)
@@ -522,9 +542,9 @@ class TestParser:
     # subcommand -> (the config keys it takes as flags, its other options)
     FLAGS = {
         "generate": (COMMON + ["case", "n", "max_targets"] + SIMULATION, ["--config", "--out"]),
-        "gridsearch": (COMMON + ["classifier", "holdout", "standardize"],
+        "gridsearch": (COMMON + ["classifier", "val_fraction", "standardize"],
                        ["--config", "--dataset"]),
-        "select": (COMMON + ["fs", "wrapper_k", "standardize"], ["--config", "--dataset"]),
+        "select": (COMMON + ["fs", "knn_k", "standardize"], ["--config", "--dataset"]),
         "benchmark": (COMMON + ["systems", "fs", "classifier", "n_train", "n_test", "threads"]
                       + SIMULATION + ["standardize"], ["--config"]),
         "report": ([], ["--results"]),
