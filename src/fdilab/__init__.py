@@ -22,7 +22,6 @@ from .bench import (
     ExperimentResult,
     ExperimentSpec,
     GridSearchResult,
-    GridSearchSpec,
     calibrate_threshold,
     default_grid,
     export_results,
@@ -77,7 +76,7 @@ __all__ = [
     "AttackConfig", "AttackVector", "Dataset", "craft_attack",
     "default_attack_config", "generate_dataset", "inject", "load_dataset",
     "save_dataset", "stealthiness_report",
-    "ExperimentResult", "ExperimentSpec", "GridSearchResult", "GridSearchSpec",
+    "ExperimentResult", "ExperimentSpec", "GridSearchResult",
     "calibrate_threshold", "default_grid", "export_results", "grid_search",
     "load_results", "render_report", "run_matrix",
     "AnnConfig", "KnnConfig", "SvmConfig", "TrainedModel", "accuracy",

@@ -36,21 +36,6 @@ def subseed(master: int, *tokens) -> int:
 # --------------------------------------------------------------- grid search
 
 @dataclass(frozen=True)
-class GridSearchSpec:
-    classifier: str
-    grid: tuple
-    holdout: float = 0.2
-    seed: int = 0
-    standardize: bool = True
-
-    def __post_init__(self):
-        if len(self.grid) == 0:
-            raise ValueError("grid must be non-empty")
-        if not 0.0 < self.holdout < 1.0:
-            raise ValueError("holdout must be in (0, 1)")
-
-
-@dataclass(frozen=True)
 class GridSearchResult:
     best_config: object
     best_accuracy: float
@@ -70,22 +55,25 @@ def default_grid(classifier: str) -> tuple:
     raise ValueError(f"unknown classifier {classifier!r}")
 
 
-def grid_search(X, y, spec: GridSearchSpec) -> GridSearchResult:
-    """Evaluate every grid point on a stratified holdout; argmax wins.
+def grid_search(X, y, kind: str, grid, spec: ExperimentSpec) -> GridSearchResult:
+    """Evaluate every `kind` grid point on a stratified holdout; argmax wins.
 
-    The holdout split is scaled once, in one FitnessContext, and each grid
-    point is scored on it by featsel.holdout_accuracies over all features.
-    Ties go to the earliest grid point.
+    spec gives the split (val_fraction, seed) and standardize. The holdout
+    split is scaled once, in one FitnessContext, and each grid point is
+    scored on it by featsel.holdout_accuracies over all features. Ties go
+    to the earliest grid point.
     """
+    if len(grid) == 0:
+        raise ValueError("grid must be non-empty")
     try:  # input the context rejects fails every grid point
         # k=1 keeps the context's k check off the grid's own k values
         ctx = featsel.make_fitness_context(
-            X, y, spec.classifier, KnnConfig(k=1) if spec.classifier == "knn" else None,
-            val_fraction=spec.holdout, seed=spec.seed, standardize=spec.standardize)
+            X, y, kind, KnnConfig(k=1) if kind == "knn" else None,
+            val_fraction=spec.val_fraction, seed=spec.seed, standardize=spec.standardize)
     except ValueError as exc:
         raise ValueError(f"every grid point failed: {exc}") from None
     rows = []
-    for cfg in spec.grid:
+    for cfg in grid:
         acc = err = None
         try:
             acc = featsel.holdout_accuracies(ctx, cfg, np.ones((1, ctx.n_features), bool))[0]
@@ -97,7 +85,7 @@ def grid_search(X, y, spec: GridSearchSpec) -> GridSearchResult:
         errors = "; ".join(dict.fromkeys(err for _, _, err in rows))
         raise ValueError(f"every grid point failed: {errors}")
     best_idx = max(scored, key=lambda idx: rows[idx][1])  # the first of equal accuracies
-    return GridSearchResult(best_config=spec.grid[best_idx], best_accuracy=rows[best_idx][1],
+    return GridSearchResult(best_config=grid[best_idx], best_accuracy=rows[best_idx][1],
                             rows=tuple(rows))
 
 

@@ -19,6 +19,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import math
 import os
 import sys as _sys
 from pathlib import Path
@@ -63,11 +64,20 @@ def _parse_list(text: str) -> tuple:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _parse_float(text: str) -> float:
+    val = float(text)
+    if not math.isfinite(val):  # nan and inf pass every range check
+        raise ValueError(f"not a finite number: {text!r}")
+    return val
+
+
 def _caster(default):
     if isinstance(default, tuple):
         return _parse_list
     if isinstance(default, bool):  # before int: bool is an int
         return _parse_bool
+    if isinstance(default, float):
+        return _parse_float
     return type(default)
 
 
@@ -109,6 +119,8 @@ def _read_config_file(path: Path) -> dict:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path} line {lineno}: unknown key {key!r}")
+        if key in out:
+            raise ConfigError(f"{path} line {lineno}: repeated key {key!r}")
         caster, _default = CONFIG_KEYS[key]
         try:
             out[key] = caster(val.strip())
@@ -142,15 +154,20 @@ def _resolve(args) -> dict:
 
 
 def _experiment_spec(cfg: dict) -> bench.ExperimentSpec:
-    fields, sections = {}, {}
-    for key, section, name, _default in _spec_keys():
+    fields, sections, changed = {}, {}, {}
+    for key, section, name, default in _spec_keys():
         if section is None:
             fields[name] = cfg[key]
-        else:
-            sections.setdefault(section, {})[name] = cfg[key]
-    with _config_errors():
-        for section, kwargs in sections.items():
+            continue
+        sections.setdefault(section, {})[name] = cfg[key]
+        if cfg[key] != default:
+            changed.setdefault(section, []).append(f"{key} = {_text(cfg[key])}")
+    for section, kwargs in sections.items():
+        try:
             fields[section] = type(getattr(_DEFAULT_SPEC, section))(**kwargs)
+        except ValueError as exc:  # its message names the field, so name the section's keys
+            raise ConfigError(f"{', '.join(changed[section])}: {exc}") from None
+    with _config_errors():
         return bench.ExperimentSpec(**fields)
 
 
@@ -174,19 +191,20 @@ def _text(val) -> str:
 
 def cmd_generate(args) -> int:
     cfg = _resolve(args)
+    spec = _experiment_spec(cfg)  # no check_spec: a clean-only dataset is a valid one
     if not cfg["case"]:
         raise ConfigError("--case is required")
     sys_ = _case(cfg["case"])
     if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
         raise ConfigError(f"--out: {args.out} is not a file in an existing directory")
     with _config_errors():
-        noise = NoiseModel(cfg["noise_sigma"])
-        atk_cfg = attack.default_attack_config(sys_.n_states, cfg["max_targets"],
-                                               cfg["magnitude_low"], cfg["magnitude_high"])
-        ds = attack.generate_dataset(sys_, cfg["n"], cfg["attack_ratio"], noise,
-                                     cfg["load_var"], atk_cfg, cfg["seed"])
+        atk_cfg = attack.default_attack_config(sys_.n_states, spec.max_targets,
+                                               spec.magnitude_low, spec.magnitude_high)
+        ds = attack.generate_dataset(sys_, cfg["n"], spec.attack_ratio,
+                                     NoiseModel(spec.noise_sigma), spec.load_var, atk_cfg,
+                                     spec.seed)
     dest = (Path(args.out) if args.out
-            else _out_dir(cfg) / f"{sys_.name}_n{cfg['n']}_seed{cfg['seed']}.csv")
+            else _out_dir(cfg) / f"{sys_.name}_n{cfg['n']}_seed{spec.seed}.csv")
     ds.meta["case"] = cfg["case"]  # `system` holds only the stem of a case CSV
     attack.save_dataset(ds, dest)
     n_attacked = int(ds.y.sum())
@@ -198,13 +216,10 @@ def cmd_generate(args) -> int:
 def cmd_gridsearch(args) -> int:
     cfg = _resolve(args)
     spec = _experiment_spec(cfg)
-    specs = [bench.GridSearchSpec(classifier=kind, grid=bench.default_grid(kind),
-                                  holdout=spec.val_fraction, seed=spec.seed,
-                                  standardize=spec.standardize)
-             for kind in spec.classifiers]
     ds = _load_dataset_arg(args)
     try:  # every grid point failed: the dataset cannot train this classifier
-        results = [bench.grid_search(ds.X, ds.y, grid_spec) for grid_spec in specs]
+        results = [bench.grid_search(ds.X, ds.y, kind, bench.default_grid(kind), spec)
+                   for kind in spec.classifiers]
     except ValueError as exc:
         raise ConfigError(f"{args.dataset}: {exc}") from None
     out = _out_dir(cfg)

@@ -335,7 +335,7 @@ def wrapper_fitness_oracle(mask, X_train, y_train, X_val, y_val, kind, cfg, stan
     return accuracy(predict(model, X_val), y_val)
 
 
-def grid_search_oracle(X, y, spec):
+def grid_search_oracle(X, y, kind, grid, spec):
     """bench.grid_search's rows the per-point way, as it ran before it scored
     on one context: every grid point trains from the raw training rows (the
     scaler fitted anew) and predicts the raw validation rows. Returns the
@@ -345,11 +345,11 @@ def grid_search_oracle(X, y, spec):
 
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
-    tr, va = stratified_split(y, spec.holdout, spec.seed)
+    tr, va = stratified_split(y, spec.val_fraction, spec.seed)
     rows = []
-    for cfg in spec.grid:
+    for cfg in grid:
         try:
-            model = train_model(X[tr], y[tr], spec.classifier, cfg, standardize=spec.standardize)
+            model = train_model(X[tr], y[tr], kind, cfg, standardize=spec.standardize)
             rows.append((cfg, accuracy(predict(model, X[va]), y[va]), None))
         except (ValueError, FloatingPointError) as exc:
             rows.append((cfg, None, str(exc)))

@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 from fdilab import (
     ExperimentResult,
     ExperimentSpec,
-    GridSearchSpec,
     KnnConfig,
     NoiseModel,
     build_jacobian,
@@ -105,14 +104,14 @@ class TestGridSearch:
         X = np.concatenate([rng.normal(-10, 0.1, (30, 2)), rng.normal(10, 0.1, (30, 2))])
         y = np.array([0] * 30 + [1] * 30)
         grid = (KnnConfig(k=7), KnnConfig(k=1), KnnConfig(k=3))
-        res = grid_search(X, y, GridSearchSpec("knn", grid, seed=0))
+        res = grid_search(X, y, "knn", grid, ExperimentSpec(seed=0))
         assert res.best_accuracy == 1.0
         assert res.best_config.k == 7
 
     def test_failing_cell_recorded_not_fatal(self):
         X, y = tiny_dataset()
         grid = (KnnConfig(k=5), KnnConfig(k=10 ** 6))
-        res = grid_search(X, y, GridSearchSpec("knn", grid))
+        res = grid_search(X, y, "knn", grid, ExperimentSpec())
         assert res.best_config.k == 5
         cfg, acc, err = res.rows[1]
         assert acc is None and "exceeds" in err
@@ -123,7 +122,7 @@ class TestGridSearch:
         with pytest.raises(ValueError, match=r"every grid point failed: k=1000000 exceeds "
                                              r"training size \d+; k=1000001 exceeds "
                                              r"training size \d+$"):
-            grid_search(X, y, GridSearchSpec("knn", grid))
+            grid_search(X, y, "knn", grid, ExperimentSpec())
 
     def test_labels_outside_zero_one_fail_every_point(self):
         X, y = tiny_dataset()
@@ -131,14 +130,14 @@ class TestGridSearch:
                            ("ann", (AnnConfig(epochs=2),))):
             with pytest.raises(ValueError, match=r"^every grid point failed: "
                                                  r"labels must be 0 or 1$"):
-                grid_search(X, 2 * y, GridSearchSpec(kind, grid))
+                grid_search(X, 2 * y, kind, grid, ExperimentSpec())
 
     def test_fractional_label_fails_every_point(self):
         # the labels reach the context as given, not truncated to integers first
         X, y = tiny_dataset()
         with pytest.raises(ValueError, match=r"^every grid point failed: labels must be 0 or 1$"):
-            grid_search(X, np.where(np.arange(len(y)) == 7, 0.5, y), GridSearchSpec(
-                "knn", (KnnConfig(k=3),)))
+            grid_search(X, np.where(np.arange(len(y)) == 7, 0.5, y), "knn",
+                        (KnnConfig(k=3),), ExperimentSpec())
 
     @pytest.mark.parametrize("standardize", [True, False])
     @pytest.mark.parametrize("kind", ["knn", "svm", "ann"])
@@ -159,14 +158,16 @@ class TestGridSearch:
                              for c, g in ((1.0, 0.1), (100.0, 0.01), (10.0, 1.0))),
                 "ann": (AnnConfig(alpha=0.1, epochs=3), AnnConfig(alpha=1e-3, epochs=2),
                         AnnConfig(alpha=1.0, epochs=1, batch=8))}[kind]
-        spec = GridSearchSpec(kind, grid, holdout=holdout, seed=seed, standardize=standardize)
-        assert repr(grid_search(X, y, spec).rows) == repr(grid_search_oracle(X, y, spec))
+        spec = ExperimentSpec(val_fraction=holdout, seed=seed, standardize=standardize)
+        assert (repr(grid_search(X, y, kind, grid, spec).rows)
+                == repr(grid_search_oracle(X, y, kind, grid, spec)))
 
     def test_holdout_validation(self):
-        with pytest.raises(ValueError):
-            GridSearchSpec("knn", (KnnConfig(k=1),), holdout=0.0)
-        with pytest.raises(ValueError):
-            GridSearchSpec("knn", ())
+        with pytest.raises(ValueError, match="val_fraction must be in"):
+            ExperimentSpec(val_fraction=0.0)
+        X, y = tiny_dataset()
+        with pytest.raises(ValueError, match="grid must be non-empty"):
+            grid_search(X, y, "knn", (), ExperimentSpec())
 
 
 class TestCalibration:

@@ -104,6 +104,13 @@ class TestGenerate:
         assert run(["generate", "--case", "ieee14", "--n", "20",
                     "--attack-ratio", "1.5", "--out-dir", str(tmp_path)]) == 1
 
+    def test_clean_only_dataset(self, tmp_path):
+        # generate checks its settings without check_spec, which wants both classes
+        dest = tmp_path / "ds.csv"
+        assert run(["generate", "--case", "ieee14", "--n", "20", "--attack-ratio", "0",
+                    "--out", str(dest)]) == 0
+        assert int(load_dataset(dest).y.sum()) == 0
+
     def test_config_magnitudes_reach_the_dataset(self, tmp_path):
         # max_targets = 0 (the default) still takes the configured magnitudes
         cfg = tmp_path / "run.cfg"
@@ -143,6 +150,19 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 7\nn_train = many\n")
         with pytest.raises(ConfigError, match="line 2"):
+            _read_config_file(cfg)
+
+    def test_repeated_key_reports_line(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("knn_k = 3\nseed = 1\nknn_k = 5\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg line 3: repeated key 'knn_k'$"):
+            _read_config_file(cfg)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_float_reports_line(self, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 7\nnoise_sigma = {text}\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg line 2: not a finite number"):
             _read_config_file(cfg)
 
     def test_missing_config_file(self, tmp_path):
@@ -513,11 +533,36 @@ class TestOutOfRange:
          "attack_ratio = 0.01 gives 0 attacked of the 40 training rows (n_train)"),
         (BENCH + ["--classifier", "knn,svm", "--attack-ratio", "1"], "",
          "attack_ratio = 1.0 gives 40 attacked of the 40 training rows (n_train)"),
+        # a nested config's message names the section's keys that were set
+        (BENCH, "knn_k = 0\n", "knn_k = 0: k must be at least 1"),
+        (["select", "--fs", "ga"], "ga_population = 0\nga_elite = 1\n",
+         "ga_population = 0: population must be >= 2"),
+        (BENCH, "svm_c = -1\nsvm_gamma = 0.5\n",
+         "svm_c = -1.0, svm_gamma = 0.5: C, gamma and tol must be positive"),
+        # nan and inf pass every range check, so the caster refuses them
+        (BENCH, "svm_gamma = inf\n", "run.cfg line 1: not a finite number: 'inf'"),
+        (["select", "--fs", "bpso"], "bpso_w = nan\n", "run.cfg line 1: not a finite number"),
+        (BENCH + ["--noise-sigma", "inf"], "", "--noise-sigma: not a finite number: 'inf'"),
+        (["gridsearch", "--val-fraction", "nan"], "", "--val-fraction: not a finite number"),
+        (BENCH, "knn_k = 3\nknn_k = 5\n", "run.cfg line 2: repeated key 'knn_k'"),
+        # generate builds the spec too, without check_spec's dataset sizes
+        (["generate", "--case", "ieee14", "--n", "20", "--max-targets", "-1"], "",
+         "max_targets must be non-negative"),
+        (["generate", "--case", "ieee14", "--n", "20"], "threads = 0\n",
+         "threads must be a positive integer, got 0"),
+        (["generate", "--case", "ieee14", "--n", "20"], "knn_k = 0\n",
+         "knn_k = 0: k must be at least 1"),
+        (["generate", "--case", "ieee14", "--n", "20", "--noise-sigma", "inf"], "",
+         "--noise-sigma: not a finite number: 'inf'"),
     ], ids=["standardize", "seed", "generate attack_ratio", "select knn_k",
             "gridsearch val_fraction", "gridsearch repeated classifier", "select wrapper_k",
             "holdout", "wrapper_k", "holdout key", "attack_ratio", "noise_sigma", "load_var",
             "n_test", "magnitudes", "val_fraction", "knn_k", "knn_k above n_train",
-            "repeated classifier", "one-class svm", "one-class ann", "all-attacked svm"])
+            "repeated classifier", "one-class svm", "one-class ann", "all-attacked svm",
+            "knn_k named", "ga_population named", "svm section named", "svm_gamma inf",
+            "bpso_w nan", "noise_sigma inf", "gridsearch val_fraction nan", "repeated key",
+            "generate max_targets", "generate threads", "generate knn_k",
+            "generate noise_sigma inf"])
     def test_setting_is_config_error_before_any_work(self, tmp_path, capsys, argv, config,
                                                      name):
         argv = list(argv)
