@@ -18,6 +18,7 @@ from .powergrid import (
     BusSystem,
     DcJacobian,
     NoiseModel,
+    _row_blocks,
     _solve_state_block,
     bad_data_test,
     build_jacobian,
@@ -42,8 +43,8 @@ class AttackConfig:
     def __post_init__(self):
         if self.max_targets < 1:
             raise ValueError("max_targets must be at least 1")
-        if not 0 < self.magnitude_low <= self.magnitude_high:
-            raise ValueError("need 0 < magnitude_low <= magnitude_high")
+        if not 0 < self.magnitude_low <= self.magnitude_high < math.inf:
+            raise ValueError("need 0 < magnitude_low <= magnitude_high < inf")
 
 
 def default_attack_config(n_states: int, max_targets: int = 0, magnitude_low: float = 0.01,
@@ -103,7 +104,7 @@ class Dataset:
     def __post_init__(self):
         if self.X.ndim != 2 or self.y.shape != (self.X.shape[0],):
             raise ValueError("X must be 2-D with one label per row")
-        if not np.all(np.isfinite(self.X)):
+        if not _all_finite(self.X):
             raise ValueError("non-finite features")
         if not np.isin(self.y, (0, 1)).all():
             raise ValueError("labels must be 0 (clean) or 1 (attacked)")
@@ -130,14 +131,15 @@ def generate_dataset(sys: BusSystem, n: int, attack_ratio: float, noise: NoiseMo
     Reproducible: each sample uses its own child stream of the master seed,
     so results do not depend on evaluation order. A sample's stream draws its
     load factors, then its noise (straight into its row of X), then its
-    attack's state shift c. Each row keeps its injections at the state buses
-    only, in one (n, n_states) block; the DC solve then runs once for the
-    whole dataset, with one LU of the reduced susceptance matrix, and the
-    block is freed. The transposed solution becomes rows one row block at a
-    time, just before that block's H x is added into X; H c is added the same
-    way, so X is the only full-size array left. A row's attack draws come
-    after its noise, and the attack order is drawn whatever the ratio, so the
-    rows before their attacks are X of the same call with attack_ratio 0.
+    attack's state shift c. The rows are drawn and finished one _row_blocks
+    block at a time: the block's injections at the state buses go into an
+    (r, n_states) block, whose DC solve (one LU of the reduced susceptance
+    matrix) gives the states, and the block's H x and then its H c are added
+    into its rows of X. X is the only full-size array. Every block has at
+    least 256 rows unless it is the whole dataset, so each row solves to the
+    same bits as in one solve of all n rows. A row's attack draws come after
+    its noise, and the attack order is drawn whatever the ratio, so the rows
+    before their attacks are X of the same call with attack_ratio 0.
     """
     if n < 2:
         raise ValueError("need at least 2 samples")
@@ -160,32 +162,29 @@ def generate_dataset(sys: BusSystem, n: int, attack_ratio: float, noise: NoiseMo
     attacked[order[:n_attacked]] = True
 
     cols = np.array(jac.state_buses) - 1
-    P = np.empty((n, jac.n_states))            # injections at the state buses only
     X = np.empty((n, m))
-    C = np.empty((n_attacked, jac.n_states))   # c of each attacked row, in row order
-    j = 0
-    for i in range(n):
-        rng = np.random.default_rng(ss.spawn(1)[0])
-        P[i] = (base * rng.uniform(1.0 - load_var, 1.0 + load_var, size=sys.n_buses))[cols]
-        if noise.sigma > 0:
-            X[i] = rng.normal(0.0, noise.sigma, m)
-        if attacked[i]:
-            C[j] = _draw_state_shift(jac.n_states, cfg, rng)
-            j += 1
-    ST = _solve_state_block(sys, jac, P)       # (n_states, n): column i is row i's state
-    del P
-    # each stacked row is the gemv H @ S[i]; noise + H x equals H x + noise bit for bit
     for rows in _row_blocks(n):
-        S = np.ascontiguousarray(ST[:, rows].T)
+        hit = rows.start + np.flatnonzero(attacked[rows])
+        P = np.empty((rows.stop - rows.start, jac.n_states))  # injections at the state buses
+        C = np.empty((hit.size, jac.n_states))                # c of each attacked row
+        j = 0
+        for i in range(rows.start, rows.stop):
+            rng = np.random.default_rng(ss.spawn(1)[0])
+            P[i - rows.start] = (base * rng.uniform(1.0 - load_var, 1.0 + load_var,
+                                                    size=sys.n_buses))[cols]
+            if noise.sigma > 0:
+                X[i] = rng.normal(0.0, noise.sigma, m)
+            if attacked[i]:
+                C[j] = _draw_state_shift(jac.n_states, cfg, rng)
+                j += 1
+        S = np.ascontiguousarray(_solve_state_block(sys, jac, P).T)
+        # each stacked row is the gemv H @ S[i]; noise + H x equals H x + noise bit for bit
         Hx = np.matmul(jac.matrix, S[:, :, None])[:, :, 0]
         if noise.sigma > 0:
             X[rows] += Hx
         else:
             X[rows] = Hx
-    del ST
-    attacked_rows = np.flatnonzero(attacked)
-    for rows in _row_blocks(n_attacked):
-        X[attacked_rows[rows]] += np.matmul(jac.matrix, C[rows, :, None])[:, :, 0]
+        X[hit] += np.matmul(jac.matrix, C[:, :, None])[:, :, 0]
     meta = {
         "system": sys.name,
         "n": n,
@@ -220,9 +219,10 @@ def stealthiness_report(ds: Dataset, H: DcJacobian, variance, threshold: float):
 def batch_residuals(Z: np.ndarray, H: DcJacobian, variance) -> np.ndarray:
     """Squared residual norm of the WLS fit for every row of Z.
 
-    The estimate is solved once for all rows; the residual H x_hat - z (the
-    negated residual, so the same squares) is formed in blocks of at least
-    _BLOCK rows, so no full-size temporary of Z's shape is made.
+    wls_estimate gives every row's estimate from one whole GEMM and a solve
+    in column blocks of at least 256; the residual H x_hat - z (the negated
+    residual, so the same squares) is formed in the same row blocks, so no
+    full-size temporary of Z's shape is made.
     """
     Z = np.asarray(Z, dtype=float)
     Xhat = wls_estimate(H, variance, Z.T).T
@@ -234,18 +234,10 @@ def batch_residuals(Z: np.ndarray, H: DcJacobian, variance) -> np.ndarray:
     return out
 
 
-_BLOCK = 256
-
-
-def _row_blocks(n: int):
-    """Slices cutting range(n) into max(1, n // _BLOCK) near-equal blocks, as
-    np.array_split does: every block has at least _BLOCK rows unless n < _BLOCK."""
-    k = max(1, n // _BLOCK)
-    q, r = divmod(n, k)
-    stop = 0
-    for i in range(k):
-        start, stop = stop, stop + q + (i < r)
-        yield slice(start, stop)
+def _all_finite(A: np.ndarray) -> bool:
+    """np.isfinite(A).all() for a 2-D A, one row block at a time, so no bool
+    temporary of A's shape is made."""
+    return all(np.isfinite(A[rows]).all() for rows in _row_blocks(A.shape[0]))
 
 
 # ------------------------------------------------------------- dataset files
@@ -303,7 +295,7 @@ def load_dataset(path) -> Dataset:
             data = None
     # loadtxt skips blank lines, so a row count short of the line count fails too
     if (data is None or data.shape != (n_lines, m + 1) or n_lines == 0
-            or not np.isfinite(data[:, :m]).all()):
+            or not _all_finite(data[:, :m])):
         with path.open() as fh:
             fh.readline()
             for lineno, line in enumerate(fh, start=2):

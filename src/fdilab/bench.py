@@ -138,12 +138,12 @@ class ExperimentSpec:
             raise ValueError("attack_ratio must be in [0, 1]")
         if not 0 <= self.load_var < 1:
             raise ValueError("load_var must be in [0, 1)")
-        if not self.noise_sigma >= 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and non-negative")
         if self.max_targets < 0:
             raise ValueError("max_targets must be non-negative")
-        if not 0 < self.magnitude_low <= self.magnitude_high:
-            raise ValueError("need 0 < magnitude_low <= magnitude_high")
+        if not 0 < self.magnitude_low <= self.magnitude_high < math.inf:
+            raise ValueError("need 0 < magnitude_low <= magnitude_high < inf")
         if not 0 < self.val_fraction < 1:
             raise ValueError("val_fraction must be in (0, 1)")
         if self.threads < 1:
@@ -191,15 +191,23 @@ def check_spec(spec: ExperimentSpec, systems) -> None:
         if spec.knn.k > rows:
             raise ValueError(f"knn_k = {spec.knn.k} exceeds the {rows} {what}")
     for sys in systems:
-        if spec.max_targets > sys.n_states:
-            raise ValueError(f"max_targets = {spec.max_targets} exceeds the "
-                             f"{sys.n_states} states of {sys.name}")
+        attack_config(spec, sys)
+
+
+def attack_config(spec: ExperimentSpec, sys: BusSystem) -> attack.AttackConfig:
+    """The spec's attack draws on one system. Raise ValueError, naming the
+    config key, when max_targets exceeds the system's state count, whether
+    or not any row is attacked."""
+    if spec.max_targets > sys.n_states:
+        raise ValueError(f"max_targets = {spec.max_targets} exceeds the "
+                         f"{sys.n_states} states of {sys.name}")
+    return attack.default_attack_config(sys.n_states, spec.max_targets, spec.magnitude_low,
+                                        spec.magnitude_high)
 
 
 def _experiment_datasets(spec: ExperimentSpec, sys: BusSystem):
     noise = NoiseModel(spec.noise_sigma)
-    cfg = attack.default_attack_config(sys.n_states, spec.max_targets, spec.magnitude_low,
-                                       spec.magnitude_high)
+    cfg = attack_config(spec, sys)
     train = generate_dataset(sys, spec.n_train, spec.attack_ratio, noise,
                              spec.load_var, cfg, subseed(spec.seed, sys.name, "train"))
     test = generate_dataset(sys, spec.n_test, spec.attack_ratio, noise,

@@ -102,8 +102,8 @@ class SvmConfig:
     max_sweeps: int = 100_000
 
     def __post_init__(self):
-        if not (self.C > 0 and self.gamma > 0 and self.tol > 0):
-            raise ValueError("C, gamma and tol must be positive")
+        if not all(0 < v < math.inf for v in (self.C, self.gamma, self.tol)):
+            raise ValueError("C, gamma and tol must be positive and finite")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
 
@@ -125,8 +125,8 @@ class AnnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if self.epochs < 1 or self.batch < 1:
             raise ValueError("epochs and batch must be at least 1")
 

@@ -198,8 +198,7 @@ def cmd_generate(args) -> int:
     if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
         raise ConfigError(f"--out: {args.out} is not a file in an existing directory")
     with _config_errors():
-        atk_cfg = attack.default_attack_config(sys_.n_states, spec.max_targets,
-                                               spec.magnitude_low, spec.magnitude_high)
+        atk_cfg = bench.attack_config(spec, sys_)
         ds = attack.generate_dataset(sys_, cfg["n"], spec.attack_ratio,
                                      NoiseModel(spec.noise_sigma), spec.load_var, atk_cfg,
                                      spec.seed)

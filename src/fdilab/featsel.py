@@ -190,8 +190,8 @@ class BcsParams:
     iterations: int = 10
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if not 0.0 <= self.pa <= 1.0:
             raise ValueError("pa must be in [0, 1]")
         if not 1.0 < self.lam <= 3.0:
@@ -210,8 +210,10 @@ class BpsoParams:
     iterations: int = 10
 
     def __post_init__(self):
-        if self.c1 < 0 or self.c2 < 0 or self.w < 0 or not self.v_max > 0:
-            raise ValueError("c1, c2, w must be non-negative and v_max positive")
+        if not (all(0 <= v < math.inf for v in (self.c1, self.c2, self.w))
+                and 0 < self.v_max < math.inf):
+            raise ValueError("c1, c2, w must be finite and non-negative and v_max finite "
+                             "and positive")
         if self.population < 2 or self.iterations < 0:
             raise ValueError("population must be >= 2 and iterations >= 0")
 

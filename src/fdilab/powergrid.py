@@ -7,6 +7,7 @@ reference angle fixed at zero, z = H x + noise for a constant Jacobian H.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -213,8 +214,8 @@ class NoiseModel:
     sigma: float = 0.01
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and non-negative")
 
 
 def measure(H: DcJacobian, x: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
@@ -252,15 +253,26 @@ def wls_estimate(H: DcJacobian, variance, z: np.ndarray) -> np.ndarray:
 
     variance is the diagonal of W (scalar = uniform); z is one measurement
     vector (m,) or a block (m, k) of them. The model is linear, so the normal
-    equations with gain G = H^T W^-1 H are solved directly, in one step.
+    equations with gain G = H^T W^-1 H are solved directly. For a block, the
+    right-hand side H^T W^-1 z comes from one whole GEMM (cutting it into
+    blocks changes bits) and is then solved in place, one _row_blocks column
+    block at a time, so no second (n_states, k) array is made. A block of at
+    least _BLOCK columns solves each column to the same bits as the one-shot
+    solve; the 1-column path of LAPACK does not.
     """
     z = np.asarray(z, dtype=float)
     m = H.n_measurements
     if z.ndim not in (1, 2) or z.shape[0] != m:
         raise ValueError(f"measurement length {z.shape} does not match {m} rows")
     Hw = H.matrix * _weights(variance, m)[:, None]      # W^-1 H
+    G = H.matrix.T @ Hw
+    rhs = Hw.T @ z
     try:
-        return np.linalg.solve(H.matrix.T @ Hw, Hw.T @ z)
+        if rhs.ndim == 1:
+            return np.linalg.solve(G, rhs)
+        for cols in _row_blocks(rhs.shape[1]):
+            rhs[:, cols] = np.linalg.solve(G, rhs[:, cols])
+        return rhs
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular gain matrix") from exc
 
@@ -304,7 +316,25 @@ def _solve_state_block(sys: BusSystem, jac: DcJacobian, rhs: np.ndarray) -> np.n
     state buses only: rhs is one vector (n_states,) or a block (k, n_states),
     and the result is (n_states,) or the transposed (n_states, k) block, whose
     column i holds row i's angles. Only LAPACK's copy of rhs and the result
-    are made, so a caller can free rhs and turn the columns into rows a block
-    at a time; the values do not depend on rhs's memory layout."""
+    are made, and the values do not depend on rhs's memory layout. A row
+    block of at least _BLOCK rows solves each row to the same bits as the
+    whole block does, so a caller may solve the _row_blocks of its rows one
+    at a time; a 1-row block takes LAPACK's 1-column path and may differ."""
     B_red = jac.matrix[[sys.n_branches + b - 1 for b in jac.state_buses], :]
     return np.linalg.solve(B_red, rhs.T)
+
+
+_BLOCK = 256
+
+
+def _row_blocks(n: int):
+    """Slices cutting range(n) into max(1, n // _BLOCK) near-equal blocks, as
+    np.array_split does: every block has at least _BLOCK rows unless n < _BLOCK,
+    and then the one block is the whole. The dataset path cuts both its rows
+    and its WLS right-hand-side columns with this one rule."""
+    k = max(1, n // _BLOCK)
+    q, r = divmod(n, k)
+    stop = 0
+    for i in range(k):
+        start, stop = stop, stop + q + (i < r)
+        yield slice(start, stop)

@@ -181,12 +181,25 @@ def generate_dataset_bulk_oracle(sys, n, attack_ratio, noise, load_var, cfg, see
     return X, attacked.astype(np.int64), clean
 
 
-def batch_residuals_oracle(Z, H, variance):
-    """Squared residual norms with the full residual matrix Z - X_hat H^T in one piece."""
-    from fdilab import wls_estimate
+def wls_estimate_oracle(H, variance, z):
+    """wls_estimate with the whole right-hand side solved in one
+    np.linalg.solve call: the normal equations G x = Hw^T z for one vector
+    (m,) or a block (m, k), with Hw = W^-1 H and unit weights where a
+    variance is 0. The package solves a block one column block at a time, so
+    the two must agree bit for bit."""
+    m = H.n_measurements
+    var = np.broadcast_to(np.asarray(variance, dtype=float), (m,))
+    w = np.ones(m)
+    w[var > 0] = 1.0 / var[var > 0]
+    Hw = H.matrix * w[:, None]
+    return np.linalg.solve(H.matrix.T @ Hw, Hw.T @ np.asarray(z, dtype=float))
 
+
+def batch_residuals_oracle(Z, H, variance):
+    """Squared residual norms with every estimate solved in one piece
+    (wls_estimate_oracle) and the full residual matrix Z - X_hat H^T."""
     Z = np.asarray(Z, dtype=float)
-    Xhat = wls_estimate(H, variance, Z.T).T
+    Xhat = wls_estimate_oracle(H, variance, Z.T).T
     R = Z - Xhat @ H.matrix.T
     return np.einsum("ij,ij->i", R, R)
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fdilab import (
+    AttackConfig,
     ExperimentResult,
     ExperimentSpec,
     KnnConfig,
@@ -213,6 +214,19 @@ class TestExperimentSpec:
         # at construction, not as a KeyError inside run_matrix
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(**{field: value})
+
+    @pytest.mark.parametrize("make, field", [
+        (make, f.name) for make in (ExperimentSpec, SvmConfig, AnnConfig, BcsParams,
+                                    BpsoParams, GaParams, NoiseModel, AttackConfig)
+        for f in dataclasses.fields(make) if isinstance(f.default, float)
+    ], ids=lambda v: getattr(v, "__name__", v))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_setting_is_rejected(self, make, field, value):
+        # nan fails every comparison and inf passes a one-sided one, so each
+        # range check is closed on both sides
+        required = {"max_targets": 3} if make is AttackConfig else {}
+        with pytest.raises(ValueError):
+            make(**required, **{field: value})
 
     def test_resolve_builtin_and_path(self, tmp_path):
         assert resolve_case("ieee14").n_buses == 14

@@ -111,6 +111,16 @@ class TestGenerate:
                     "--out", str(dest)]) == 0
         assert int(load_dataset(dest).y.sum()) == 0
 
+    @pytest.mark.parametrize("ratio", ["0", "0.5"])
+    def test_max_targets_above_the_states_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                          ratio):
+        # checked against the case before any draw, whether or not a row is attacked
+        monkeypatch.chdir(tmp_path)
+        assert run(["generate", "--case", "ieee14", "--n", "20", "--max-targets", "50",
+                    "--attack-ratio", ratio, "--out", "x.csv"]) == 1
+        assert "max_targets = 50 exceeds the 13 states of ieee14" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_magnitudes_reach_the_dataset(self, tmp_path):
         # max_targets = 0 (the default) still takes the configured magnitudes
         cfg = tmp_path / "run.cfg"
