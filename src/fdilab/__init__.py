@@ -11,7 +11,6 @@ from .attack import (
     AttackVector,
     Dataset,
     craft_attack,
-    default_attack_config,
     generate_dataset,
     inject,
     load_dataset,
@@ -74,8 +73,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackConfig", "AttackVector", "Dataset", "craft_attack",
-    "default_attack_config", "generate_dataset", "inject", "load_dataset",
-    "save_dataset", "stealthiness_report",
+    "generate_dataset", "inject", "load_dataset", "save_dataset",
+    "stealthiness_report",
     "ExperimentResult", "ExperimentSpec", "GridSearchResult",
     "calibrate_threshold", "default_grid", "export_results", "grid_search",
     "load_results", "render_report", "run_matrix",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,25 +33,27 @@ class AttackConfig:
 
     A crafted attack perturbs t ~ uniform{1..max_targets} state variables,
     each by s*u with s ~ uniform{-1,+1} and u ~ U[magnitude_low, magnitude_high]
-    (radians).
+    (radians). max_targets 0 means ceil(n_states / 3) of the system drawn on.
     """
 
-    max_targets: int
+    max_targets: int = 0
     magnitude_low: float = 0.01
     magnitude_high: float = 0.1
 
     def __post_init__(self):
-        if self.max_targets < 1:
-            raise ValueError("max_targets must be at least 1")
+        if self.max_targets < 0:
+            raise ValueError("max_targets must be non-negative")
         if not 0 < self.magnitude_low <= self.magnitude_high < math.inf:
             raise ValueError("need 0 < magnitude_low <= magnitude_high < inf")
 
-
-def default_attack_config(n_states: int, max_targets: int = 0, magnitude_low: float = 0.01,
-                          magnitude_high: float = 0.1) -> AttackConfig:
-    """Up to max_targets targets, 0 meaning ceil(n_states / 3), magnitudes
-    U[magnitude_low, magnitude_high] rad."""
-    return AttackConfig(max_targets or math.ceil(n_states / 3), magnitude_low, magnitude_high)
+    def on(self, n_states: int, system: str = "the system") -> AttackConfig:
+        """This config on a system of n_states states, with max_targets 0
+        resolved. Raise ValueError, naming the config key, when max_targets
+        exceeds n_states."""
+        if self.max_targets > n_states:
+            raise ValueError(f"max_targets = {self.max_targets} exceeds the {n_states} "
+                             f"states of {system}")
+        return replace(self, max_targets=self.max_targets or math.ceil(n_states / 3))
 
 
 @dataclass(frozen=True)
@@ -63,15 +65,15 @@ class AttackVector:
 
 
 def craft_attack(H: DcJacobian, cfg: AttackConfig, rng: np.random.Generator) -> AttackVector:
-    """Draw a sparse state perturbation c and return (c, a = H c)."""
-    c = _draw_state_shift(H.n_states, cfg, rng)
+    """Draw a sparse state perturbation c, with cfg resolved on H's states,
+    and return (c, a = H c)."""
+    c = _draw_state_shift(H.n_states, cfg.on(H.n_states), rng)
     return AttackVector(c=c, a=H.matrix @ c)
 
 
 def _draw_state_shift(n: int, cfg: AttackConfig, rng: np.random.Generator) -> np.ndarray:
-    """The c of craft_attack, drawn from rng in the same order, without its image."""
-    if cfg.max_targets > n:
-        raise ValueError(f"max_targets {cfg.max_targets} exceeds {n} states")
+    """The c of craft_attack, drawn from rng in the same order, without its
+    image; cfg is resolved on the n states (AttackConfig.on)."""
     t = int(rng.integers(1, cfg.max_targets + 1))
     targets = rng.choice(n, size=t, replace=False)
     mags = rng.uniform(cfg.magnitude_low, cfg.magnitude_high, size=t)
@@ -126,7 +128,9 @@ def generate_dataset(sys: BusSystem, n: int, attack_ratio: float, noise: NoiseMo
     U[1 - load_var, 1 + load_var], the DC flow is solved for the state, and
     the measurement vector is drawn with Gaussian noise. Exactly
     floor(n * attack_ratio) samples (positions shuffled) then get a fresh
-    stealthy attack added on top of the noisy measurement and label 1.
+    stealthy attack added on top of the noisy measurement and label 1. The
+    attacks are drawn by cfg (None is AttackConfig()) resolved on the system,
+    so a max_targets above its state count fails before any draw.
 
     Reproducible: each sample uses its own child stream of the master seed,
     so results do not depend on evaluation order. A sample's stream draws its
@@ -148,8 +152,7 @@ def generate_dataset(sys: BusSystem, n: int, attack_ratio: float, noise: NoiseMo
     if not 0 <= load_var < 1:
         raise ValueError("load_var must be in [0, 1)")
     jac = build_jacobian(sys)
-    if cfg is None:
-        cfg = default_attack_config(jac.n_states)
+    cfg = (cfg or AttackConfig()).on(jac.n_states, sys.name)
     base = sys.injections()
     m = jac.n_measurements
 

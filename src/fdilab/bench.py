@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import attack, classify, featsel, powergrid
-from .attack import NoiseModel, generate_dataset
+from .attack import AttackConfig, NoiseModel, generate_dataset
 from .classify import AnnConfig, KnnConfig, SvmConfig
 from .featsel import BcsParams, BpsoParams, GaParams
 from .powergrid import BusSystem
@@ -115,12 +115,10 @@ class ExperimentSpec:
     n_train: int = 2000
     n_test: int = 500
     seed: int = 0
-    noise_sigma: float = 0.01
+    noise: NoiseModel = NoiseModel()
     load_var: float = 0.1
     attack_ratio: float = 0.5
-    max_targets: int = 0          # 0 = per-system default, ceil(n_states / 3)
-    magnitude_low: float = 0.01
-    magnitude_high: float = 0.1
+    attack: AttackConfig = AttackConfig()
     standardize: bool = True
     svm: SvmConfig = SvmConfig()
     knn: KnnConfig = KnnConfig()
@@ -138,12 +136,6 @@ class ExperimentSpec:
             raise ValueError("attack_ratio must be in [0, 1]")
         if not 0 <= self.load_var < 1:
             raise ValueError("load_var must be in [0, 1)")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValueError("noise_sigma must be finite and non-negative")
-        if self.max_targets < 0:
-            raise ValueError("max_targets must be non-negative")
-        if not 0 < self.magnitude_low <= self.magnitude_high < math.inf:
-            raise ValueError("need 0 < magnitude_low <= magnitude_high < inf")
         if not 0 < self.val_fraction < 1:
             raise ValueError("val_fraction must be in (0, 1)")
         if self.threads < 1:
@@ -156,6 +148,8 @@ class ExperimentSpec:
                 raise ValueError(f"unknown classifier {kind!r} (use {', '.join(classify.CONFIGS)})")
         for what, names in (("system", self.systems), ("FS method", self.fs_methods),
                             ("classifier", self.classifiers)):
+            if not names:
+                raise ValueError(f"no {what} given")
             if len(set(names)) < len(names):
                 raise ValueError(f"repeated {what}: {','.join(names)}")
 
@@ -190,28 +184,15 @@ def check_spec(spec: ExperimentSpec, systems) -> None:
                       else (spec.n_train, "training rows"))
         if spec.knn.k > rows:
             raise ValueError(f"knn_k = {spec.knn.k} exceeds the {rows} {what}")
-    for sys in systems:
-        attack_config(spec, sys)
-
-
-def attack_config(spec: ExperimentSpec, sys: BusSystem) -> attack.AttackConfig:
-    """The spec's attack draws on one system. Raise ValueError, naming the
-    config key, when max_targets exceeds the system's state count, whether
-    or not any row is attacked."""
-    if spec.max_targets > sys.n_states:
-        raise ValueError(f"max_targets = {spec.max_targets} exceeds the "
-                         f"{sys.n_states} states of {sys.name}")
-    return attack.default_attack_config(sys.n_states, spec.max_targets, spec.magnitude_low,
-                                        spec.magnitude_high)
+    for sys in systems:  # whether or not any row is attacked
+        spec.attack.on(sys.n_states, sys.name)
 
 
 def _experiment_datasets(spec: ExperimentSpec, sys: BusSystem):
-    noise = NoiseModel(spec.noise_sigma)
-    cfg = attack_config(spec, sys)
-    train = generate_dataset(sys, spec.n_train, spec.attack_ratio, noise,
-                             spec.load_var, cfg, subseed(spec.seed, sys.name, "train"))
-    test = generate_dataset(sys, spec.n_test, spec.attack_ratio, noise,
-                            spec.load_var, cfg, subseed(spec.seed, sys.name, "test"))
+    train = generate_dataset(sys, spec.n_train, spec.attack_ratio, spec.noise,
+                             spec.load_var, spec.attack, subseed(spec.seed, sys.name, "train"))
+    test = generate_dataset(sys, spec.n_test, spec.attack_ratio, spec.noise,
+                            spec.load_var, spec.attack, subseed(spec.seed, sys.name, "test"))
     return train, test
 
 

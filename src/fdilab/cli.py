@@ -25,15 +25,10 @@ import sys as _sys
 from pathlib import Path
 
 from . import __version__, attack, bench, featsel, powergrid
-from .powergrid import NoiseModel
 
 
 class ConfigError(Exception):
-    """Bad user-supplied configuration; reported with exit code 1."""
-
-
-class _UsageError(Exception):
-    pass
+    """Bad user-supplied configuration or usage; reported with exit code 1."""
 
 
 @contextlib.contextmanager
@@ -48,7 +43,7 @@ def _config_errors():
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage problems; the contract here is 1
     def error(self, message):
-        raise _UsageError(message)
+        raise ConfigError(message)
 
 
 def _parse_bool(text: str) -> bool:
@@ -82,9 +77,11 @@ def _caster(default):
 
 
 # A top-level ExperimentSpec field's key is its name and a nested config's
-# field's key is <section>_<field>; these five keys keep their older names.
+# field's key is <section>_<field>; these eight keys keep their older names.
 _ALIASES = {"fs_methods": "fs", "classifiers": "classifier", "svm_C": "svm_c",
-            "bcs_lam": "bcs_lambda", "bpso_v_max": "bpso_vmax"}
+            "bcs_lam": "bcs_lambda", "bpso_v_max": "bpso_vmax",
+            "attack_max_targets": "max_targets", "attack_magnitude_low": "magnitude_low",
+            "attack_magnitude_high": "magnitude_high"}
 _DEFAULT_SPEC = bench.ExperimentSpec()
 
 
@@ -198,10 +195,8 @@ def cmd_generate(args) -> int:
     if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
         raise ConfigError(f"--out: {args.out} is not a file in an existing directory")
     with _config_errors():
-        atk_cfg = bench.attack_config(spec, sys_)
-        ds = attack.generate_dataset(sys_, cfg["n"], spec.attack_ratio,
-                                     NoiseModel(spec.noise_sigma), spec.load_var, atk_cfg,
-                                     spec.seed)
+        ds = attack.generate_dataset(sys_, cfg["n"], spec.attack_ratio, spec.noise,
+                                     spec.load_var, spec.attack, spec.seed)
     dest = (Path(args.out) if args.out
             else _out_dir(cfg) / f"{sys_.name}_n{cfg['n']}_seed{spec.seed}.csv")
     ds.meta["case"] = cfg["case"]  # `system` holds only the stem of a case CSV
@@ -364,10 +359,6 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"fdilab: {exc}", file=_sys.stderr)
-        return 1
-    try:
         return args.func(args)
     except ConfigError as exc:
         print(f"fdilab: {exc}", file=_sys.stderr)

@@ -35,9 +35,11 @@ class BusSystem:
         n = len(self.buses)
         if n < 2:
             raise ValueError("a system needs at least two buses")
-        for pos, (idx, _) in enumerate(self.buses, start=1):
+        for pos, (idx, p) in enumerate(self.buses, start=1):
             if idx != pos:
                 raise ValueError(f"bus indices must be 1..{n} in order, got {idx} at position {pos}")
+            if not math.isfinite(p):
+                raise ValueError(f"bus {idx}: non-finite injection {p}")
         if not 1 <= self.reference_bus <= n:
             raise ValueError(f"reference bus {self.reference_bus} out of range 1..{n}")
         for k, (f, t, x) in enumerate(self.branches):
@@ -45,8 +47,8 @@ class BusSystem:
                 raise ValueError(f"branch {k}: endpoint ({f},{t}) out of range 1..{n}")
             if f == t:
                 raise ValueError(f"branch {k}: self-loop at bus {f}")
-            if not x > 0:
-                raise ValueError(f"branch {k}: non-positive reactance {x}")
+            if not 0 < x < math.inf:
+                raise ValueError(f"branch {k}: reactance {x} is not positive and finite")
         if not _connected(n, self.branches):
             raise ValueError("branch graph is not connected")
 
@@ -92,7 +94,8 @@ def load_case(path) -> BusSystem:
     Format, one record per line, '#' starts a comment:
         BUS,<index>,<base_injection_pu>
         BRANCH,<from>,<to>,<reactance_pu>
-    Bus indices are 1-based. Parse errors report the offending line number.
+    Bus indices are 1-based, injections finite and reactances positive and
+    finite. Parse errors report the offending line number.
     """
     path = Path(path)
     if not path.exists():
@@ -108,7 +111,10 @@ def load_case(path) -> BusSystem:
         kind = parts[0].upper()
         try:
             if kind == "BUS" and len(parts) == 3:
-                buses.append((int(parts[1]), float(parts[2])))
+                idx, p = int(parts[1]), float(parts[2])
+                if not math.isfinite(p):
+                    raise ValueError(f"non-finite injection {p}")
+                buses.append((idx, p))
             elif kind == "BRANCH" and len(parts) == 4:
                 branches.append((int(parts[1]), int(parts[2]), float(parts[3])))
                 branch_lines.append(lineno)
@@ -128,8 +134,8 @@ def load_case(path) -> BusSystem:
     for k, (f, t, x) in enumerate(branches):
         if not (1 <= f <= n and 1 <= t <= n) or f == t:
             raise ValueError(f"line {branch_lines[k]}: bad bus index on branch ({f},{t})")
-        if not x > 0:
-            raise ValueError(f"line {branch_lines[k]}: non-positive reactance {x}")
+        if not 0 < x < math.inf:
+            raise ValueError(f"line {branch_lines[k]}: reactance {x} is not positive and finite")
     return BusSystem(name=path.stem, buses=tuple(buses), branches=tuple(branches))
 
 

@@ -1,8 +1,25 @@
-"""Independent reference implementations the tests check the package against.
+"""Reference implementations the tests check the package against, of two kinds.
 
-Everything here is deliberately slow and dumb: explicit loops, no np.linalg
-solvers, no shared code with the package. If a package routine and its oracle
-agree, the agreement means something.
+The independent oracles are deliberately slow and dumb: explicit loops or
+another formula, no np.linalg solver and no code shared with the package.
+If a package routine and one of them agree, the agreement means something.
+They are gaussian_elim_solve, wls_oracle, jacobian_oracle, knn_oracle,
+knn_fitness_oracle, kernel_gaussian, svm_dual_objective, duality_gap,
+svm_dual_oracle, sigmoid_oracle, ann_loss_fd, exhaustive_best_mask and
+save_dataset_oracle.
+
+The bit-level references are a fast path's slower predecessor: the same
+arithmetic with every stage held whole, or done one item at a time, so the
+package must match them bit for bit. They use numpy's solver or a package
+piece on purpose, one that is not the path under test: np.linalg.solve in
+wls_estimate_oracle, batch_residuals_oracle and generate_dataset_bulk_oracle
+(whose reduced susceptance rows come from jacobian_oracle); the package's
+build_jacobian and craft_attack in both dataset generators, and its measure
+and per-sample solve_dc_state in generate_dataset_oracle; train_model and
+predict in wrapper_fitness_oracle and grid_search_oracle; _knn_votes_direct
+as the fallback of the knn vote oracles; _gram, ann_init, _ann_layers and
+_ann_backward where a test checks the step around them. gram_oracle alone
+uses neither.
 """
 
 import math
@@ -108,12 +125,10 @@ def generate_dataset_oracle(sys, n, attack_ratio, noise, load_var, cfg, seed):
     The random draws and their order are the package's; only the arithmetic
     is done one sample at a time.
     """
-    from fdilab import build_jacobian, craft_attack, default_attack_config, measure
-    from fdilab import solve_dc_state
+    from fdilab import AttackConfig, build_jacobian, craft_attack, measure, solve_dc_state
 
     jac = build_jacobian(sys)
-    if cfg is None:
-        cfg = default_attack_config(jac.n_states)
+    cfg = (cfg or AttackConfig()).on(jac.n_states)
     base = sys.injections()
     m = jac.n_measurements
     children = np.random.SeedSequence(seed).spawn(n + 1)
@@ -139,20 +154,21 @@ def generate_dataset_oracle(sys, n, attack_ratio, noise, load_var, cfg, seed):
 def generate_dataset_bulk_oracle(sys, n, attack_ratio, noise, load_var, cfg, seed):
     """generate_dataset with every stage held in full: the whole (n, m) noise
     matrix E, the list of attack images a = H c, then X = H S + E and the
-    attacked rows X[i] += a one at a time. The states come from one
-    solve_dc_state call on the full (n, n_buses) injection block and its
-    contiguous (n, n_states) result, where the package solves a block of
-    state-bus injections and turns the solution into rows a block at a time.
+    attacked rows X[i] += a one at a time. The states S come from one
+    np.linalg.solve of the reduced susceptance rows (the state buses'
+    injection rows of jacobian_oracle) on the whole (n, n_states) block of
+    state-bus injections, where the package solves one row block at a time.
     Returns (X, y, clean_X), clean_X holding the rows before their attacks.
 
     The package adds the same terms into one X in row blocks, so the two must
     agree bit for bit.
     """
-    from fdilab import build_jacobian, craft_attack, default_attack_config, solve_dc_state
+    from fdilab import AttackConfig, build_jacobian, craft_attack
 
     jac = build_jacobian(sys)
-    if cfg is None:
-        cfg = default_attack_config(jac.n_states)
+    cfg = (cfg or AttackConfig()).on(jac.n_states)
+    state_buses = [b for b in range(1, sys.n_buses + 1) if b != sys.reference_bus]
+    B_red = jacobian_oracle(sys)[[sys.n_branches + b - 1 for b in state_buses]]
     base = sys.injections()
     m = jac.n_measurements
     children = np.random.SeedSequence(seed).spawn(n + 1)
@@ -171,7 +187,7 @@ def generate_dataset_bulk_oracle(sys, n, attack_ratio, noise, load_var, cfg, see
             E[i] = rng.normal(0.0, noise.sigma, m)
         if attacked[i]:
             attacks.append(craft_attack(jac, cfg, rng).a)
-    S = solve_dc_state(sys, jac, P)
+    S = np.ascontiguousarray(np.linalg.solve(B_red, P[:, [b - 1 for b in state_buses]].T).T)
     X = np.matmul(jac.matrix, S[:, :, None])[:, :, 0]
     if E is not None:
         X += E

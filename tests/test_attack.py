@@ -14,7 +14,6 @@ from fdilab import (
     build_jacobian,
     calibrate_threshold,
     craft_attack,
-    default_attack_config,
     generate_dataset,
     inject,
     load_builtin,
@@ -43,13 +42,21 @@ SIGMA = 0.01
 
 class TestAttackConfig:
     def test_default_target_budget(self):
-        assert default_attack_config(13).max_targets == 5
-        assert default_attack_config(117).max_targets == 39
-        assert default_attack_config(3).max_targets == 1
+        # max_targets 0 means ceil(n_states / 3) on the system drawn on
+        assert AttackConfig().on(13).max_targets == 5
+        assert AttackConfig().on(117).max_targets == 39
+        assert AttackConfig().on(3).max_targets == 1
+        cfg = AttackConfig(max_targets=7, magnitude_low=0.2, magnitude_high=0.3)
+        assert cfg.on(13) == cfg
+
+    def test_max_targets_above_the_states_names_key_and_system(self):
+        assert AttackConfig(max_targets=13).on(13, "ieee14").max_targets == 13
+        with pytest.raises(ValueError, match="^max_targets = 14 exceeds the 13 states of ieee14$"):
+            AttackConfig(max_targets=14).on(13, "ieee14")
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AttackConfig(max_targets=0)
+        with pytest.raises(ValueError, match="max_targets must be non-negative"):
+            AttackConfig(max_targets=-1)
         with pytest.raises(ValueError):
             AttackConfig(max_targets=2, magnitude_low=0.2, magnitude_high=0.1)
         with pytest.raises(ValueError):
@@ -139,6 +146,13 @@ class TestGenerateDataset:
         assert ds.meta["system"] == "ieee14"
         assert ds.meta["max_targets"] == 5
         assert ds.meta["seed"] == 5
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.5])
+    def test_max_targets_above_the_states_fails_before_any_draw(self, ratio):
+        # resolved on the system up front, whether or not a row is attacked
+        cfg = AttackConfig(max_targets=14)
+        with pytest.raises(ValueError, match="max_targets = 14 exceeds the 13 states of ieee14"):
+            generate_dataset(load_builtin("ieee14"), 20, ratio, NoiseModel(SIGMA), 0.1, cfg, 0)
 
     def test_exact_attack_count_rounding(self):
         sys = load_builtin("ieee14")

@@ -208,8 +208,11 @@ class TestExperimentSpec:
         ("systems", ("ieee14", "ieee57", "ieee14"), "repeated system: ieee14,ieee57,ieee14"),
         ("fs_methods", ("none", "none"), "repeated FS method: none,none"),
         ("classifiers", ("knn", "knn"), "repeated classifier: knn,knn"),
+        ("systems", (), "no system given"),
+        ("fs_methods", (), "no FS method given"),
+        ("classifiers", (), "no classifier given"),
     ], ids=["classifier", "fs_method", "threads", "repeated system", "repeated fs_method",
-            "repeated classifier"])
+            "repeated classifier", "no system", "no fs_method", "no classifier"])
     def test_rejects_unknown_names_and_threads_below_one(self, field, value, message):
         # at construction, not as a KeyError inside run_matrix
         with pytest.raises(ValueError, match=message):

@@ -184,6 +184,11 @@ class TestConfigFile:
         spec_keys = {key for key, *_ in cli._spec_keys()}
         assert set(CONFIG_KEYS) == spec_keys | {"case", "n", "out_dir"}
 
+    def test_every_key_names_one_setting(self):
+        # two fields on one key would pass the set test above
+        keys = [key for key, *_ in cli._spec_keys()]
+        assert len(keys) == len(set(keys))
+
     def test_every_key_has_caster_and_default(self):
         for key, (caster, default) in CONFIG_KEYS.items():
             assert callable(caster)
@@ -501,6 +506,24 @@ class TestBenchmarkCmd:
         assert str(paths[0]) in err and str(paths[1]) in err and "'tri'" in err
         assert not (out_dir / "manifest.txt").exists()
 
+    @pytest.mark.parametrize("command", ["generate", "benchmark"])
+    @pytest.mark.parametrize("edit, message", [
+        (("BUS,2,-0.5", "BUS,2,nan"), "line 2: non-finite injection nan"),
+        (("BRANCH,1,3,0.1", "BRANCH,1,3,inf"), "line 6: reactance inf is not positive"),
+    ], ids=["nan injection", "inf reactance"])
+    def test_non_finite_case_value_is_config_error(self, tmp_path, capsys, command, edit,
+                                                   message):
+        case = tmp_path / "tri.csv"
+        case.write_text(TRIANGLE.replace(*edit))
+        argv = ({"generate": ["generate", "--case", str(case), "--n", "20"],
+                 "benchmark": ["benchmark", "--systems", str(case), "--fs", "none",
+                               "--classifier", "knn", "--n-train", "40", "--n-test", "20"]}
+                [command])
+        out_dir = tmp_path / "out"
+        assert run(argv + ["--out-dir", str(out_dir)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unknown_system_is_config_error(self, tmp_path, capsys):
         assert run(["benchmark", "--systems", "ieee99", "--out-dir", str(tmp_path)]) == 1
         assert "no bundled case" in capsys.readouterr().err
@@ -564,6 +587,12 @@ class TestOutOfRange:
          "knn_k = 0: k must be at least 1"),
         (["generate", "--case", "ieee14", "--n", "20", "--noise-sigma", "inf"], "",
          "--noise-sigma: not a finite number: 'inf'"),
+        # an empty name list would run nothing, or fail after the manifest
+        (BENCH + ["--systems", ","], "", "no system given"),
+        (BENCH + ["--fs", ","], "", "no FS method given"),
+        (BENCH + ["--classifier", ","], "", "no classifier given"),
+        (["gridsearch", "--classifier", ","], "", "no classifier given"),
+        (["select", "--fs", ","], "", "no FS method given"),
     ], ids=["standardize", "seed", "generate attack_ratio", "select knn_k",
             "gridsearch val_fraction", "gridsearch repeated classifier", "select wrapper_k",
             "holdout", "wrapper_k", "holdout key", "attack_ratio", "noise_sigma", "load_var",
@@ -572,7 +601,8 @@ class TestOutOfRange:
             "knn_k named", "ga_population named", "svm section named", "svm_gamma inf",
             "bpso_w nan", "noise_sigma inf", "gridsearch val_fraction nan", "repeated key",
             "generate max_targets", "generate threads", "generate knn_k",
-            "generate noise_sigma inf"])
+            "generate noise_sigma inf", "no system", "no fs", "no classifier",
+            "gridsearch no classifier", "select no fs"])
     def test_setting_is_config_error_before_any_work(self, tmp_path, capsys, argv, config,
                                                      name):
         argv = list(argv)

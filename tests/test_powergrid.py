@@ -1,5 +1,7 @@
 """System model + WLS estimation against hand values and a loop oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +54,17 @@ class TestBusSystem:
     def test_rejects_nonpositive_reactance(self):
         with pytest.raises(ValueError, match="reactance"):
             BusSystem("bad", ((1, 0.0), (2, 0.0)), ((1, 2, 0.0),))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_injection(self, value):
+        with pytest.raises(ValueError, match="bus 2: non-finite injection"):
+            BusSystem("bad", ((1, 0.0), (2, value)), ((1, 2, 0.1),))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_reactance(self, value):
+        # an infinite reactance would leave the branch a zero row of H
+        with pytest.raises(ValueError, match="branch 0: reactance .* is not positive and finite"):
+            BusSystem("bad", ((1, 0.0), (2, 0.0)), ((1, 2, value),))
 
     def test_rejects_disconnected_graph(self):
         with pytest.raises(ValueError, match="not connected"):
@@ -173,6 +186,21 @@ class TestCaseIO:
         p = tmp_path / "bad.csv"
         p.write_text("BUS,1,0\nBUS,2,0\nBRANCH,1,two,0.1\n")
         with pytest.raises(ValueError, match="line 3"):
+            load_case(p)
+
+    @pytest.mark.parametrize("record, message", [
+        ("BUS,2,nan", "line 2: non-finite injection nan"),
+        ("BUS,2,inf", "line 2: non-finite injection inf"),
+        ("BUS,2,-inf", "line 2: non-finite injection -inf"),
+        ("BUS,2,1e400", "line 2: non-finite injection inf"),
+        ("BUS,2,0\nBRANCH,1,2,inf", "line 3: reactance inf is not positive and finite"),
+        ("BUS,2,0\nBRANCH,1,2,nan", "line 3: reactance nan is not positive and finite"),
+        ("BUS,2,0\nBRANCH,1,2,-0.1", "line 3: reactance -0.1 is not positive and finite"),
+    ])
+    def test_non_finite_value_reports_line(self, tmp_path, record, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"BUS,1,0\n{record}\nBRANCH,1,2,0.1\n")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             load_case(p)
 
     def test_bad_record_kind(self, tmp_path):
