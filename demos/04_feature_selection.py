@@ -23,7 +23,7 @@ sys14 = load_builtin("ieee14")
 jac = build_jacobian(sys14)
 ds = generate_dataset(sys14, 600, 0.5, NoiseModel(0.01), 0.1, None, seed=0)
 
-ctx = make_fitness_context(ds.X, ds.y, classifier="knn", seed=0)
+ctx = make_fitness_context(ds.X, ds.y, seed=0)
 full = fitness(np.ones(ctx.n_features, dtype=bool), ctx)
 print(f"wrapper baseline: all {ctx.n_features} channels -> "
       f"validation accuracy {full:.3f}\n")

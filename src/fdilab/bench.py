@@ -55,23 +55,15 @@ def default_grid(classifier: str) -> tuple:
     raise ValueError(f"unknown classifier {classifier!r}")
 
 
-def grid_search(X, y, kind: str, grid, spec: ExperimentSpec) -> GridSearchResult:
-    """Evaluate every `kind` grid point on a stratified holdout; argmax wins.
+def grid_search(ctx: featsel.FitnessContext, grid) -> GridSearchResult:
+    """Score every grid point on ctx's holdout split; argmax wins.
 
-    spec gives the split (val_fraction, seed) and standardize. The holdout
-    split is scaled once, in one FitnessContext, and each grid point is
-    scored on it by featsel.holdout_accuracies over all features. Ties go
-    to the earliest grid point.
+    Each grid point is featsel.holdout_accuracies under that point's config
+    over all features, so the split is scaled once, by the caller, for any
+    number of grids. Ties go to the earliest grid point.
     """
     if len(grid) == 0:
         raise ValueError("grid must be non-empty")
-    try:  # input the context rejects fails every grid point
-        # k=1 keeps the context's k check off the grid's own k values
-        ctx = featsel.make_fitness_context(
-            X, y, kind, KnnConfig(k=1) if kind == "knn" else None,
-            val_fraction=spec.val_fraction, seed=spec.seed, standardize=spec.standardize)
-    except ValueError as exc:
-        raise ValueError(f"every grid point failed: {exc}") from None
     rows = []
     for cfg in grid:
         acc = err = None
@@ -176,8 +168,8 @@ def check_spec(spec: ExperimentSpec, systems) -> None:
         raise ValueError(f"attack_ratio = {spec.attack_ratio} gives {n_attacked} attacked of "
                          f"the {spec.n_train} training rows (n_train): svm and ann need both "
                          "classes")
-    wrapper_rows = spec.n_train - sum(classify.holdout_size(size, spec.val_fraction)
-                                      for size in (n_attacked, spec.n_train - n_attacked) if size)
+    labels = np.arange(spec.n_train) < n_attacked  # split sizes depend on no seed or order
+    wrapper_rows = len(classify.stratified_split(labels, spec.val_fraction, 0)[0])
     searches = set(spec.fs_methods) - {"none"}
     if searches or "knn" in spec.classifiers:
         rows, what = ((wrapper_rows, "wrapper training rows") if searches
@@ -199,11 +191,14 @@ def _experiment_datasets(spec: ExperimentSpec, sys: BusSystem):
 def wrapper_searches(spec: ExperimentSpec, system: str, X, y):
     """search(method) -> (FsResult, seconds) on one KNN wrapper context of a
     system's training rows; the methods share its mask cache, as fitness is
-    a pure function of the mask."""
+    a pure function of the mask. A knn_k above the wrapper's training rows
+    is a ValueError before any search."""
     ctx = featsel.make_fitness_context(
-        X, y, classifier="knn", config=spec.knn,
+        X, y, config=spec.knn,
         val_fraction=spec.val_fraction, seed=subseed(spec.seed, system, "wrapper-split"),
         standardize=spec.standardize)
+    if spec.knn.k > len(ctx.y_train):
+        raise ValueError(f"knn_k={spec.knn.k} exceeds the {len(ctx.y_train)} wrapper training rows")
 
     def search(method: str):
         t0 = time.perf_counter()
@@ -282,6 +277,8 @@ def export_results(results, path) -> Path:
 
 def load_results(path) -> list:
     path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"results file not found: {path}")
     lines = path.read_text().splitlines()
     if len(lines) < 2 or lines[0] != RESULTS_HEADER:  # export_results writes a row at least
         raise ValueError(f"{path}: not a results CSV")

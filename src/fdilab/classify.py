@@ -58,11 +58,6 @@ def standardize_apply(stats: ScalerStats, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def holdout_size(class_size: int, val_fraction: float) -> int:
-    """Validation rows stratified_split takes from a non-empty class."""
-    return max(1, int(round(val_fraction * class_size)))
-
-
 def stratified_split(y: np.ndarray, val_fraction: float, seed: int):
     """Indices (train_idx, val_idx) of a per-class holdout split.
 
@@ -78,7 +73,7 @@ def stratified_split(y: np.ndarray, val_fraction: float, seed: int):
     for cls in sorted(set(y.tolist())):   # np.unique would import numpy.ma
         idx = np.flatnonzero(y == cls)
         rng.shuffle(idx)
-        val.append(idx[:holdout_size(len(idx), val_fraction)])
+        val.append(idx[:max(1, int(round(val_fraction * len(idx))))])
     val_idx = np.sort(np.concatenate(val))
     mask = np.ones(len(y), dtype=bool)
     mask[val_idx] = False

@@ -59,8 +59,12 @@ def _parse_list(text: str) -> tuple:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _parse_int(text: str) -> int:
+    return powergrid._number(text, int)
+
+
 def _parse_float(text: str) -> float:
-    val = float(text)
+    val = powergrid._number(text)
     if not math.isfinite(val):  # nan and inf pass every range check
         raise ValueError(f"not a finite number: {text!r}")
     return val
@@ -71,6 +75,8 @@ def _caster(default):
         return _parse_list
     if isinstance(default, bool):  # before int: bool is an int
         return _parse_bool
+    if isinstance(default, int):
+        return _parse_int
     if isinstance(default, float):
         return _parse_float
     return type(default)
@@ -99,7 +105,8 @@ def _spec_keys():
 
 # every known config key: name -> (caster, default); the last three are CLI-only
 CONFIG_KEYS = {key: (_caster(default), default) for key, _, _, default in _spec_keys()}
-CONFIG_KEYS.update({"case": (str, ""), "n": (int, 1000), "out_dir": (str, "runs")})
+CONFIG_KEYS.update({key: (_caster(default), default)
+                    for key, default in (("case", ""), ("n", 1000), ("out_dir", "runs"))})
 
 
 def _read_config_file(path: Path) -> dict:
@@ -137,9 +144,12 @@ def _resolve(args) -> dict:
         cfg.update(_read_config_file(Path(args.config)))
     env_threads = os.environ.get("FDI_LAB_THREADS")
     if env_threads is not None:
-        if not env_threads.strip().isdecimal() or int(env_threads) < 1:
+        try:
+            cfg["threads"] = _parse_int(env_threads)
+        except ValueError:
+            cfg["threads"] = 0
+        if cfg["threads"] < 1:
             raise ConfigError(f"FDI_LAB_THREADS must be a positive integer, got {env_threads!r}")
-        cfg["threads"] = int(env_threads)
     for key, (caster, _default) in CONFIG_KEYS.items():
         val = getattr(args, key, None)
         if val is not None:
@@ -212,8 +222,9 @@ def cmd_gridsearch(args) -> int:
     spec = _experiment_spec(cfg)
     ds = _load_dataset_arg(args)
     try:  # every grid point failed: the dataset cannot train this classifier
-        results = [bench.grid_search(ds.X, ds.y, kind, bench.default_grid(kind), spec)
-                   for kind in spec.classifiers]
+        ctx = featsel.make_fitness_context(ds.X, ds.y, val_fraction=spec.val_fraction,
+                                           seed=spec.seed, standardize=spec.standardize)
+        results = [bench.grid_search(ctx, bench.default_grid(kind)) for kind in spec.classifiers]
     except ValueError as exc:
         raise ConfigError(f"{args.dataset}: {exc}") from None
     out = _out_dir(cfg)
@@ -288,7 +299,8 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_report(args) -> int:
-    results = bench.load_results(Path(args.results))
+    with _config_errors():
+        results = bench.load_results(Path(args.results))
     print(bench.render_report(results), end="")
     return 0
 

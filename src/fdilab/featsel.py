@@ -10,21 +10,22 @@ per-iteration trace is non-decreasing by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .classify import (CONFIGS, KnnBlocks, _sigmoid, accuracy, predict, standardize_apply,
-                       standardize_fit, stratified_split, train_model)
+from .classify import (CONFIGS, KnnBlocks, KnnConfig, _sigmoid, accuracy, predict,
+                       standardize_apply, standardize_fit, stratified_split, train_model)
 
 
 # ----------------------------------------------------------- fitness wrapper
 
 @dataclass
 class FitnessContext:
-    """The train/validation splits scaled once, the wrapped classifier and a
+    """The train/validation splits scaled once, the wrapper's config and a
     mask cache.
 
     X and y hold every row, and rows = (train_rows, val_rows) are integer
@@ -36,31 +37,26 @@ class FitnessContext:
     standardize_fit reduces each column on its own, so a mask's columns of
     the scaled splits are, bit for bit, what train_model scales from the raw
     masked rows: svm and ann masks train on them with standardize=False, and
-    a KNN context lays them out once for its kernel (knn), which reads them
-    by reference. config defaults to the classifier's own default config.
+    the first KNN score lays them out once for its kernel (knn), which reads
+    them by reference. Any classifier's config scores on a context; config,
+    whose type names the classifier, is the one fitness_batch scores under.
     Labels outside {0, 1} and non-finite features fail the build.
     """
 
     X: InitVar[np.ndarray]
     y: InitVar[np.ndarray]
     rows: InitVar[tuple]
-    classifier: str = "knn"
-    config: object = None
+    config: object = KnnConfig()
     standardize: bool = True
-    cache: dict = field(default_factory=dict)
-    evals: int = 0       # fitness() calls, cache hits included
-    trainings: int = 0   # actual classifier fits (cache misses)
+    cache: dict = field(init=False, default_factory=dict)
+    evals: int = field(init=False, default=0)      # fitness() calls, cache hits included
+    trainings: int = field(init=False, default=0)  # actual classifier fits (cache misses)
     y_train: np.ndarray = field(init=False)
     y_val: np.ndarray = field(init=False)
     scaled_train: np.ndarray = field(init=False, repr=False)
     scaled_val: np.ndarray = field(init=False, repr=False)
-    knn: KnnBlocks | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self, X, y, rows):
-        if self.classifier not in CONFIGS:
-            raise ValueError(f"unknown classifier {self.classifier!r} (use {', '.join(CONFIGS)})")
-        if self.config is None:
-            self.config = CONFIGS[self.classifier]()
         X, y = np.asarray(X, dtype=float), np.asarray(y)
         if not ((y == 0) | (y == 1)).all():
             raise ValueError("labels must be 0 or 1")
@@ -68,38 +64,40 @@ class FitnessContext:
             raise ValueError("features must be finite")
         tr, va = (np.asarray(r, dtype=np.intp) for r in rows)
         self.y_train, self.y_val = y[tr].astype(np.int64), y[va].astype(np.int64)
-        if self.classifier == "knn" and self.config.k > len(tr):
-            raise ValueError(f"knn_k={self.config.k} exceeds the "
-                             f"{len(tr)} wrapper training rows")
         # the training rows are taken once for the stats, in the order they are
         # reduced in, and once more to scale: a raw split never sits beside a copy
         stats = standardize_fit(np.asfortranarray(X[tr])) if self.standardize else None
         self.scaled_train, self.scaled_val = (
             X[r] if stats is None else standardize_apply(stats, X[r]) for r in (tr, va))
         self.scaled_train.flags.writeable = self.scaled_val.flags.writeable = False
-        if self.classifier == "knn":
-            self.knn = KnnBlocks(self.scaled_val, self.scaled_train, self.y_train)
+
+    @functools.cached_property
+    def knn(self) -> KnnBlocks:
+        return KnnBlocks(self.scaled_val, self.scaled_train, self.y_train)
 
     @property
     def n_features(self) -> int:
         return self.scaled_train.shape[1]
 
 
-def make_fitness_context(X, y, classifier: str = "knn", config=None,
-                         val_fraction: float = 0.2, seed: int = 0,
+def make_fitness_context(X, y, config=KnnConfig(), val_fraction: float = 0.2, seed: int = 0,
                          standardize: bool = True) -> FitnessContext:
     """Stratified holdout split of the given training data for wrapper fitness."""
-    return FitnessContext(X, y, stratified_split(y, val_fraction, seed), classifier=classifier,
-                          config=config, standardize=standardize)
+    return FitnessContext(X, y, stratified_split(y, val_fraction, seed), config=config,
+                          standardize=standardize)
 
 
 def holdout_accuracies(ctx: FitnessContext, config, masks) -> list:
-    """Validation accuracy of ctx's classifier under config, trained on each
-    mask's columns of the scaled training split. KNN masks share one call of
-    the KNN kernel on the context's blocks; other classifiers train per mask."""
-    if ctx.classifier == "knn":
+    """Validation accuracy of the classifier config's type names, under config,
+    trained on each mask's columns of ctx's scaled training split. KNN masks
+    share one call of the KNN kernel on the context's blocks; svm and ann
+    train per mask."""
+    kind = next((name for name, cls in CONFIGS.items() if isinstance(config, cls)), None)
+    if kind is None:
+        raise ValueError(f"unknown classifier for config {config!r}")
+    if kind == "knn":
         return [accuracy(row, ctx.y_val) for row in ctx.knn.votes(config.k, masks)]
-    return [accuracy(predict(train_model(ctx.scaled_train, ctx.y_train, ctx.classifier, config,
+    return [accuracy(predict(train_model(ctx.scaled_train, ctx.y_train, kind, config,
                                          mask=mask, standardize=False), ctx.scaled_val),
                      ctx.y_val) for mask in masks]
 

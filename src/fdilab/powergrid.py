@@ -8,6 +8,7 @@ reference angle fixed at zero, z = H x + noise for a constant Jacobian H.
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,14 +89,29 @@ def _connected(n_buses, branches) -> bool:
     return len(seen) == n_buses
 
 
+_NUMERALS = {int: re.compile(r"[+-]?[0-9]+"),
+             float: re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                               r"|[+-]?(?:inf|infinity|nan)", re.IGNORECASE)}
+
+
+def _number(text: str, kind=float):
+    """kind(text) for an ASCII decimal numeral, inside whitespace: int and
+    float alone also read underscores and non-ASCII digits, such as 1_0 and
+    the Arabic-Indic 2. A float may be inf or nan; the caller checks range."""
+    if not _NUMERALS[kind].fullmatch(text.strip()):
+        raise ValueError(f"not a decimal {'integer' if kind is int else 'number'}: {text!r}")
+    return kind(text)
+
+
 def load_case(path) -> BusSystem:
     """Parse a case CSV into a validated BusSystem.
 
     Format, one record per line, '#' starts a comment:
         BUS,<index>,<base_injection_pu>
         BRANCH,<from>,<to>,<reactance_pu>
-    Bus indices are 1-based, injections finite and reactances positive and
-    finite. Parse errors report the offending line number.
+    Bus indices are 1-based ASCII decimal integers, and injections and
+    reactances ASCII decimal numbers; injections are finite and reactances
+    positive and finite. Errors report the file and the offending line.
     """
     path = Path(path)
     if not path.exists():
@@ -111,19 +127,18 @@ def load_case(path) -> BusSystem:
         kind = parts[0].upper()
         try:
             if kind == "BUS" and len(parts) == 3:
-                idx, p = int(parts[1]), float(parts[2])
+                idx, p = _number(parts[1], int), _number(parts[2])
                 if not math.isfinite(p):
                     raise ValueError(f"non-finite injection {p}")
                 buses.append((idx, p))
             elif kind == "BRANCH" and len(parts) == 4:
-                branches.append((int(parts[1]), int(parts[2]), float(parts[3])))
+                branches.append((_number(parts[1], int), _number(parts[2], int),
+                                 _number(parts[3])))
                 branch_lines.append(lineno)
             else:
-                raise ValueError(f"line {lineno}: expected BUS or BRANCH record, got {raw!r}")
+                raise ValueError(f"expected BUS or BRANCH record, got {raw!r}")
         except ValueError as exc:
-            if str(exc).startswith("line "):
-                raise
-            raise ValueError(f"line {lineno}: {exc}") from None
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
     n = len(buses)
     if n == 0:
         raise ValueError(f"{path}: no BUS records")
@@ -133,9 +148,10 @@ def load_case(path) -> BusSystem:
     buses.sort(key=lambda b: b[0])
     for k, (f, t, x) in enumerate(branches):
         if not (1 <= f <= n and 1 <= t <= n) or f == t:
-            raise ValueError(f"line {branch_lines[k]}: bad bus index on branch ({f},{t})")
+            raise ValueError(f"{path} line {branch_lines[k]}: bad bus index on branch ({f},{t})")
         if not 0 < x < math.inf:
-            raise ValueError(f"line {branch_lines[k]}: reactance {x} is not positive and finite")
+            raise ValueError(f"{path} line {branch_lines[k]}: reactance {x} is not positive "
+                             "and finite")
     return BusSystem(name=path.stem, buses=tuple(buses), branches=tuple(branches))
 
 

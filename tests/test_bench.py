@@ -98,6 +98,12 @@ def tiny_dataset(seed=0):
     return ds.X, ds.y
 
 
+def grid_context(X, y, spec=ExperimentSpec()):
+    """The holdout context `gridsearch` scores every grid on, from spec."""
+    return featsel.make_fitness_context(X, y, val_fraction=spec.val_fraction, seed=spec.seed,
+                                        standardize=spec.standardize)
+
+
 class TestGridSearch:
     def test_tie_prefers_earliest_grid_point(self):
         # perfectly separated blobs: every k is 100% accurate, first k wins
@@ -105,14 +111,14 @@ class TestGridSearch:
         X = np.concatenate([rng.normal(-10, 0.1, (30, 2)), rng.normal(10, 0.1, (30, 2))])
         y = np.array([0] * 30 + [1] * 30)
         grid = (KnnConfig(k=7), KnnConfig(k=1), KnnConfig(k=3))
-        res = grid_search(X, y, "knn", grid, ExperimentSpec(seed=0))
+        res = grid_search(grid_context(X, y, ExperimentSpec(seed=0)), grid)
         assert res.best_accuracy == 1.0
         assert res.best_config.k == 7
 
     def test_failing_cell_recorded_not_fatal(self):
         X, y = tiny_dataset()
         grid = (KnnConfig(k=5), KnnConfig(k=10 ** 6))
-        res = grid_search(X, y, "knn", grid, ExperimentSpec())
+        res = grid_search(grid_context(X, y), grid)
         assert res.best_config.k == 5
         cfg, acc, err = res.rows[1]
         assert acc is None and "exceeds" in err
@@ -123,22 +129,19 @@ class TestGridSearch:
         with pytest.raises(ValueError, match=r"every grid point failed: k=1000000 exceeds "
                                              r"training size \d+; k=1000001 exceeds "
                                              r"training size \d+$"):
-            grid_search(X, y, "knn", grid, ExperimentSpec())
+            grid_search(grid_context(X, y), grid)
 
     def test_labels_outside_zero_one_fail_every_point(self):
+        # no grid point is scored: the context every grid scores on is never built
         X, y = tiny_dataset()
-        for kind, grid in (("knn", (KnnConfig(k=3),)), ("svm", (SvmConfig(),)),
-                           ("ann", (AnnConfig(epochs=2),))):
-            with pytest.raises(ValueError, match=r"^every grid point failed: "
-                                                 r"labels must be 0 or 1$"):
-                grid_search(X, 2 * y, kind, grid, ExperimentSpec())
+        with pytest.raises(ValueError, match=r"^labels must be 0 or 1$"):
+            grid_context(X, 2 * y)
 
     def test_fractional_label_fails_every_point(self):
         # the labels reach the context as given, not truncated to integers first
         X, y = tiny_dataset()
-        with pytest.raises(ValueError, match=r"^every grid point failed: labels must be 0 or 1$"):
-            grid_search(X, np.where(np.arange(len(y)) == 7, 0.5, y), "knn",
-                        (KnnConfig(k=3),), ExperimentSpec())
+        with pytest.raises(ValueError, match=r"^labels must be 0 or 1$"):
+            grid_context(X, np.where(np.arange(len(y)) == 7, 0.5, y))
 
     @pytest.mark.parametrize("standardize", [True, False])
     @pytest.mark.parametrize("kind", ["knn", "svm", "ann"])
@@ -160,7 +163,7 @@ class TestGridSearch:
                 "ann": (AnnConfig(alpha=0.1, epochs=3), AnnConfig(alpha=1e-3, epochs=2),
                         AnnConfig(alpha=1.0, epochs=1, batch=8))}[kind]
         spec = ExperimentSpec(val_fraction=holdout, seed=seed, standardize=standardize)
-        assert (repr(grid_search(X, y, kind, grid, spec).rows)
+        assert (repr(grid_search(grid_context(X, y, spec), grid).rows)
                 == repr(grid_search_oracle(X, y, kind, grid, spec)))
 
     def test_holdout_validation(self):
@@ -168,7 +171,7 @@ class TestGridSearch:
             ExperimentSpec(val_fraction=0.0)
         X, y = tiny_dataset()
         with pytest.raises(ValueError, match="grid must be non-empty"):
-            grid_search(X, y, "knn", (), ExperimentSpec())
+            grid_search(grid_context(X, y), ())
 
 
 class TestCalibration:

@@ -384,6 +384,7 @@ class TestMemoryBounds:
         tracemalloc.start()
         try:
             ctx = FitnessContext(X, y, rows, config=KnnConfig(k=12))
+            ctx.knn  # laid out at the first KNN score
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -396,14 +397,16 @@ class TestMemoryBounds:
         assert peak <= splits + block + 1.1 * classify.KNN_WORK_BYTES
 
     def test_knn_context_build(self):
-        # make_fitness_context on 2,000 rows of 118-bus width keeps the scaled
-        # splits and the class-sorted training rows, 2.25 blocks of 8 n_f n_b
-        # (n_b the 1,600 wrapper training rows), and no raw copy of a split
+        # make_fitness_context on 2,000 rows of 118-bus width and its KNN layout
+        # keep the scaled splits and the class-sorted training rows, 2.25 blocks
+        # of 8 n_f n_b (n_b the 1,600 wrapper training rows), and no raw copy of
+        # a split
         rng = np.random.default_rng(13)
         X, y = rng.normal(size=(2000, 304)), rng.integers(0, 2, 2000)
         tracemalloc.start()
         try:
             ctx = make_fitness_context(X, y, config=KnnConfig(k=12))
+            ctx.knn  # laid out at the first KNN score
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

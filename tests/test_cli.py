@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, subcommand behavior, config layering,
 and byte-identical benchmark reruns."""
 
+import csv
 import os
 import re
 import shutil
@@ -43,9 +44,11 @@ class TestExitCodes:
         assert "line 3" in capsys.readouterr().err
 
     def test_runtime_error_is_2(self, tmp_path, capsys):
-        missing = tmp_path / "missing.csv"
-        assert run(["report", "--results", str(missing)]) == 2
-        assert "fdilab:" in capsys.readouterr().err
+        # an output directory that cannot be made: a file stands in its place
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run(["generate", "--case", "ieee14", "--n", "20", "--out-dir", str(taken)]) == 2
+        assert "fdilab: FileExistsError:" in capsys.readouterr().err
 
     def test_success_is_0(self, tmp_path, capsys):
         assert run(["generate", "--case", "ieee14", "--n", "30", "--seed", "1",
@@ -175,6 +178,28 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=r"run\.cfg line 2: not a finite number"):
             _read_config_file(cfg)
 
+    @pytest.mark.parametrize("key, text, message", [
+        ("noise_sigma", "0_01", "not a decimal number: '0_01'"),
+        ("n_train", "2_000", "not a decimal integer: '2_000'"),
+        ("seed", "\u0663", "not a decimal integer: '\u0663'"),
+        ("svm_gamma", "\u0660.5", "not a decimal number: '\u0660.5'"),
+        ("n", "1.0", "not a decimal integer: '1.0'"),
+    ])
+    def test_numbers_are_ascii_decimals(self, tmp_path, key, text, message):
+        # int() and float() alone read the first four as 1.0, 2000, 3 and 0.5
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        with pytest.raises(ConfigError, match=f"run\\.cfg line 1: {re.escape(message)}$"):
+            _read_config_file(cfg)
+
+    @pytest.mark.parametrize("key, text, value", [
+        ("seed", "+3", 3), ("n", "007", 7), ("noise_sigma", "1E-2", 0.01),
+        ("val_fraction", ".25", 0.25), ("svm_c", "10.", 10.0), ("load_var", "-0", 0.0),
+    ])
+    def test_every_decimal_spelling_casts(self, key, text, value):
+        got = CONFIG_KEYS[key][0](text)
+        assert got == value and type(got) is type(value)
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             _read_config_file(tmp_path / "nope.cfg")
@@ -218,6 +243,40 @@ class TestGridsearchCmd:
         assert run(argv) == 0
         assert capsys.readouterr().out == first
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == outputs
+
+    def test_one_context_for_every_classifier(self, tmp_path, monkeypatch):
+        ds_path = tmp_path / "ds.csv"
+        assert run(["generate", "--case", "ieee14", "--n", "30", "--seed", "2",
+                    "--out", str(ds_path), "--out-dir", str(tmp_path)]) == 0
+        calls = []
+        make = cli.featsel.make_fitness_context
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(cli.featsel, "make_fitness_context", counted)
+        assert run(["gridsearch", "--dataset", str(ds_path), "--classifier", "knn,svm,ann",
+                    "--out-dir", str(tmp_path / "gs")]) == 0
+        assert calls == [{"val_fraction": 0.2, "seed": 0, "standardize": True}]
+
+    def test_scores_every_k_up_to_fewer_training_rows_than_knn_k(self, tmp_path, capsys):
+        # 10 rows leave 8 training rows, fewer than the default knn_k = 12, which
+        # gridsearch does not read
+        ds_path = tmp_path / "ds.csv"
+        assert run(["generate", "--case", "ieee14", "--n", "10", "--seed", "4",
+                    "--out", str(ds_path), "--out-dir", str(tmp_path)]) == 0
+        out_dir = tmp_path / "gs"
+        assert run(["gridsearch", "--dataset", str(ds_path), "--classifier", "knn",
+                    "--out-dir", str(out_dir)]) == 0
+        with (out_dir / "grid_knn.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["config"] for row in rows] == [f"KnnConfig(k={k})" for k in range(1, 21)]
+        for k, row in enumerate(rows, start=1):
+            if k <= 8:
+                assert row["accuracy"] and not row["error"]
+            else:
+                assert (row["accuracy"], row["error"]) == ("", f"k={k} exceeds training size 8")
 
     def test_code_digest_covers_bundled_cases(self, tmp_path, monkeypatch):
         # a case file's bytes change every benchmark result, so the manifest's code
@@ -524,6 +583,15 @@ class TestBenchmarkCmd:
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_case_error_names_its_file(self, tmp_path, capsys):
+        case = tmp_path / "bad.csv"
+        case.write_text(TRIANGLE.replace("BUS,2,-0.5", "BUS,2,nan"))
+        out_dir = tmp_path / "out"
+        assert run(["benchmark", "--systems", f"ieee14,{case}",
+                    "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"fdilab: {case} line 2: non-finite injection nan\n"
+        assert not out_dir.exists()
+
     def test_unknown_system_is_config_error(self, tmp_path, capsys):
         assert run(["benchmark", "--systems", "ieee99", "--out-dir", str(tmp_path)]) == 1
         assert "no bundled case" in capsys.readouterr().err
@@ -593,6 +661,11 @@ class TestOutOfRange:
         (BENCH + ["--classifier", ","], "", "no classifier given"),
         (["gridsearch", "--classifier", ","], "", "no classifier given"),
         (["select", "--fs", ","], "", "no FS method given"),
+        # int() and float() alone read these as 0.01, 2000 and 3
+        (BENCH + ["--noise-sigma", "0_01"], "", "--noise-sigma: not a decimal number: '0_01'"),
+        (BENCH + ["--n-train", "2_000"], "", "--n-train: not a decimal integer: '2_000'"),
+        (["generate", "--case", "ieee14", "--seed", "\u0663"], "",
+         "--seed: not a decimal integer: '\u0663'"),
     ], ids=["standardize", "seed", "generate attack_ratio", "select knn_k",
             "gridsearch val_fraction", "gridsearch repeated classifier", "select wrapper_k",
             "holdout", "wrapper_k", "holdout key", "attack_ratio", "noise_sigma", "load_var",
@@ -602,7 +675,8 @@ class TestOutOfRange:
             "bpso_w nan", "noise_sigma inf", "gridsearch val_fraction nan", "repeated key",
             "generate max_targets", "generate threads", "generate knn_k",
             "generate noise_sigma inf", "no system", "no fs", "no classifier",
-            "gridsearch no classifier", "select no fs"])
+            "gridsearch no classifier", "select no fs", "noise_sigma underscore",
+            "n_train underscore", "arabic-indic seed"])
     def test_setting_is_config_error_before_any_work(self, tmp_path, capsys, argv, config,
                                                      name):
         argv = list(argv)
@@ -690,7 +764,7 @@ class TestThreads:
         return [line for line in (out_dir / "manifest.txt").read_text().splitlines()
                 if line.startswith("threads = ")]
 
-    @pytest.mark.parametrize("value", ["abc", "0", "1.5"])
+    @pytest.mark.parametrize("value", ["abc", "0", "1.5", "\u0662"])
     def test_bad_env_value_is_config_error(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("FDI_LAB_THREADS", value)
         assert run(self.SMALL + ["--out-dir", str(tmp_path)]) == 1
@@ -725,8 +799,23 @@ class TestReportCmd:
         out = capsys.readouterr().out
         assert "=== ieee14" in out and "KNN" in out
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "results file not found: {path}"),
+        ("system,accuracy\nieee14,0.9\n", "{path}: not a results CSV"),
+        (f"{RESULTS_HEADER}\nieee14,none,knn,34,1.5,0,1\n",
+         "{path} line 2: accuracy must be in [0, 1], got '1.5'"),
+    ], ids=["missing", "not a results CSV", "bad row"])
+    def test_bad_results_file_is_config_error(self, tmp_path, capsys, content, message):
+        results = tmp_path / "results.csv"
+        if content is not None:
+            results.write_text(content)
+        assert run(["report", "--results", str(results)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"fdilab: {message.format(path=results)}\n"
+        assert captured.out == ""
+
     def test_rows_from_two_seeds_are_a_runtime_error(self, tmp_path, capsys):
-        # the same exit code as for any other malformed results file
+        # a results file that loads, but that render_report refuses
         results = tmp_path / "results.csv"
         results.write_text(f"{RESULTS_HEADER}\nieee14,none,knn,34,0.9,0,1\n"
                            "ieee14,none,knn,34,0.8,1,1\n")

@@ -15,10 +15,10 @@ from fdilab import (
     make_fitness_context,
     run_search,
 )
-from fdilab.classify import (AnnConfig, KnnConfig, SvmConfig, accuracy, predict,
+from fdilab.classify import (CONFIGS, AnnConfig, KnnConfig, SvmConfig, accuracy, predict,
                              standardize_apply, standardize_fit, stratified_split, train_model)
-from fdilab.featsel import (FitnessContext, _improves, binarize, fitness_batch, levy_step,
-                            repair_mask)
+from fdilab.featsel import (FitnessContext, _improves, binarize, fitness_batch,
+                            holdout_accuracies, levy_step, repair_mask)
 
 from oracles import exhaustive_best_mask, knn_fitness_oracle, wrapper_fitness_oracle
 
@@ -43,8 +43,7 @@ def synthetic_dataset(n=160, n_noise=4, seed=0):
 @pytest.fixture()
 def ctx():
     X, y = synthetic_dataset()
-    return make_fitness_context(X, y, classifier="knn", config=KnnConfig(k=5),
-                                val_fraction=0.2, seed=1)
+    return make_fitness_context(X, y, config=KnnConfig(k=5), val_fraction=0.2, seed=1)
 
 
 class TestLevy:
@@ -221,7 +220,7 @@ class TestBatchedFitness:
 
     def test_other_wrappers_train_per_mask(self):
         X, y = synthetic_dataset(n=80, seed=4)
-        ctx = make_fitness_context(X, y, classifier="svm", config=SvmConfig(), seed=1)
+        ctx = make_fitness_context(X, y, config=SvmConfig(), seed=1)
         masks = random_masks(np.random.default_rng(1), 3, 6)
         X_train, y_train, X_val, y_val = raw_splits(X, y, 1)
         want = [accuracy(predict(train_model(X_train, y_train, "svm", SvmConfig(), mask=mask),
@@ -230,19 +229,37 @@ class TestBatchedFitness:
         assert fitness_batch(masks, ctx) == want
 
     @pytest.mark.parametrize("classifier, config", [("svm", SvmConfig()), ("ann", AnnConfig())])
-    def test_config_defaults_to_the_classifiers_own(self, classifier, config):
+    def test_config_type_names_the_classifier(self, classifier, config):
         X, y = synthetic_dataset(n=80, seed=4)
-        ctx = make_fitness_context(X, y, classifier=classifier, seed=1)
-        assert ctx.config == config
+        assert make_fitness_context(X, y, seed=1).config == KnnConfig()
+        ctx = make_fitness_context(X, y, config=config, seed=1)
         mask = np.array([True, False, False, True, True, False])
         X_train, y_train, X_val, y_val = raw_splits(X, y, 1)
         model = train_model(X_train, y_train, classifier, config, mask=mask)
         assert fitness(mask, ctx) == accuracy(predict(model, X_val), y_val)
 
     def test_unknown_classifier_rejected(self):
+        # a config of no known classifier fails at its first score
         X, y = synthetic_dataset(n=80, seed=4)
-        with pytest.raises(ValueError, match=r"unknown classifier 'forest' \(use svm, knn, ann\)"):
-            make_fitness_context(X, y, classifier="forest", seed=1)
+        ctx = make_fitness_context(X, y, config={"k": 5}, seed=1)
+        masks = np.ones((1, 6), dtype=bool)
+        for score in (lambda: fitness(masks[0], ctx),
+                      lambda: holdout_accuracies(ctx, "forest", masks)):
+            with pytest.raises(ValueError, match="^unknown classifier for config "):
+                score()
+
+    def test_scores_under_any_config_and_lays_out_knn_only_for_knn(self):
+        X, y = synthetic_dataset(n=80, seed=4)
+        masks = random_masks(np.random.default_rng(2), 3, 6)
+        ctx = make_fitness_context(X, y, seed=1)
+        for kind, config in (("svm", SvmConfig()), ("ann", AnnConfig(epochs=3))):
+            assert holdout_accuracies(ctx, config, masks) == [
+                wrapper_fitness_oracle(mask, *raw_splits(X, y, 1), kind, config)
+                for mask in masks]
+        assert "knn" not in vars(ctx)  # no KNN layout until a KNN config scores
+        assert holdout_accuracies(ctx, KnnConfig(k=3), masks) == [
+            knn_fitness_oracle(mask, *raw_splits(X, y, 1), 3) for mask in masks]
+        assert "knn" in vars(ctx)
 
     def test_invalid_mask_counts_nothing(self, ctx):
         good = np.array([True, False, False, True, False, False])
@@ -276,8 +293,7 @@ class TestBatchedFitness:
         X = X * rng.uniform(0.2, 5.0, 6) + rng.uniform(-3.0, 3.0, 6)
         cfg = {"svm": SvmConfig(max_sweeps=5000), "ann": AnnConfig(epochs=3, seed=seed % 97),
                "knn": KnnConfig(k=5)}[kind]
-        ctx = make_fitness_context(X, y, classifier=kind, config=cfg, seed=seed,
-                                   standardize=standardize)
+        ctx = make_fitness_context(X, y, config=cfg, seed=seed, standardize=standardize)
         masks = np.concatenate([np.ones((1, 6), dtype=bool), np.eye(6, dtype=bool),
                                 random_masks(rng, 4, 6)])
         want = [wrapper_fitness_oracle(mask, *raw_splits(X, y, seed), kind, cfg, standardize)
@@ -300,14 +316,18 @@ class TestBatchedFitness:
         else:
             X[train_rows[5], 4] = np.inf
         with pytest.raises(ValueError, match=f"^{message}$"):
-            make_fitness_context(X, y, classifier=classifier, seed=1, standardize=standardize)
+            make_fitness_context(X, y, config=CONFIGS[classifier](), seed=1,
+                                 standardize=standardize)
 
     def test_k_larger_than_wrapper_training_rows(self):
+        # the context builds under any k; the first KNN score checks it
         X, y = synthetic_dataset(n=40)
         n_train = len(stratified_split(y, 0.2, 0)[0])
-        with pytest.raises(ValueError, match=f"k=50 exceeds the {n_train} wrapper training rows"):
-            make_fitness_context(X, y, config=KnnConfig(k=50), seed=0)
-        make_fitness_context(X, y, config=KnnConfig(k=n_train), seed=0)
+        mask = np.ones(6, dtype=bool)
+        ctx = make_fitness_context(X, y, config=KnnConfig(k=50), seed=0)
+        with pytest.raises(ValueError, match=f"^k=50 exceeds training size {n_train}$"):
+            fitness(mask, ctx)
+        fitness(mask, make_fitness_context(X, y, config=KnnConfig(k=n_train), seed=0))
 
 
 class TestSearchers:

@@ -1,6 +1,7 @@
 """System model + WLS estimation against hand values and a loop oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,8 +201,31 @@ class TestCaseIO:
     def test_non_finite_value_reports_line(self, tmp_path, record, message):
         p = tmp_path / "bad.csv"
         p.write_text(f"BUS,1,0\n{record}\nBRANCH,1,2,0.1\n")
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))} {message}$"):
             load_case(p)
+
+    @pytest.mark.parametrize("record, message", [
+        ("BUS,\u0662,-0.5", "line 2: not a decimal integer: '\u0662'"),
+        ("BUS,2,-0\u06f5", "line 2: not a decimal number: '-0\u06f5'"),
+        ("BUS,2,-0_5", "line 2: not a decimal number: '-0_5'"),
+        ("BUS,2,0\nBRANCH,1,2_0,0.1", "line 3: not a decimal integer: '2_0'"),
+        ("BUS,2,0\nBRANCH,1,2,1_0", "line 3: not a decimal number: '1_0'"),
+    ], ids=["arabic-indic bus", "persian injection", "underscore injection",
+            "underscore bus", "underscore reactance"])
+    def test_numbers_are_ascii_decimals(self, tmp_path, record, message):
+        # int() and float() alone read these as 2, -0.5, -0.5, 20 and 10.0
+        p = tmp_path / "bad.csv"
+        p.write_text(f"BUS,1,0\n{record}\nBRANCH,1,2,0.1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))} {message}$"):
+            load_case(p)
+
+    def test_every_decimal_spelling_loads(self, tmp_path):
+        p = tmp_path / "spell.csv"
+        p.write_text("BUS, +1 ,1.\nBUS,2,-.5\nBUS,3,-5E-1\n"
+                     "BRANCH,1,2,1e-1\nBRANCH,2,3,+0.10\nBRANCH,1,3,00.1\n")
+        sys = load_case(p)
+        assert sys.buses == ((1, 1.0), (2, -0.5), (3, -0.5))
+        assert [x for _, _, x in sys.branches] == [0.1, 0.1, 0.1]
 
     def test_bad_record_kind(self, tmp_path):
         p = tmp_path / "bad.csv"
