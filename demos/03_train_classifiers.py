@@ -5,11 +5,8 @@ The residual test is blind to structured injections, so detection moves to
 supervised learning on raw measurement vectors. This script simulates a
 labeled dataset (half the samples carry a stealthy injection), trains the
 Gaussian-kernel SVM, KNN and the one-hidden-layer network, and compares
-test accuracy. Also shows model persistence.
+test accuracy.
 """
-
-import tempfile
-from pathlib import Path
 
 from fdilab import (
     AnnConfig,
@@ -19,9 +16,7 @@ from fdilab import (
     accuracy,
     generate_dataset,
     load_builtin,
-    load_model,
     predict,
-    save_model,
     train_model,
 )
 
@@ -35,21 +30,12 @@ print(f"train: {train.n_samples} x {train.n_features} "
 print()
 
 configs = {"svm": SvmConfig(), "knn": KnnConfig(), "ann": AnnConfig()}
-models = {}
 for kind, cfg in configs.items():
     model = train_model(train.X, train.y, kind, cfg)
     acc = accuracy(predict(model, test.X), test.y)
-    models[kind] = model
     extra = ""
     if kind == "svm":
         extra = f", {len(model.params['sv_alpha'])} support vectors"
     if kind == "ann":
         extra = f", hidden layer of {model.params['W1'].shape[0]} nodes"
     print(f"{kind:>4}: test accuracy {acc:.3f}{extra}")
-
-# persistence round trip
-with tempfile.TemporaryDirectory() as td:
-    path = save_model(models["svm"], Path(td) / "svm_14bus")
-    reloaded = load_model(path)
-    same = (predict(reloaded, test.X) == predict(models["svm"], test.X)).all()
-    print(f"\nsaved and reloaded SVM agrees on every test sample: {bool(same)}")

@@ -35,9 +35,7 @@ from .classify import (
     SvmConfig,
     TrainedModel,
     accuracy,
-    load_model,
     predict,
-    save_model,
     train_model,
 )
 from .featsel import (
@@ -79,7 +77,7 @@ __all__ = [
     "calibrate_threshold", "default_grid", "export_results", "grid_search",
     "load_results", "render_report", "run_matrix",
     "AnnConfig", "KnnConfig", "SvmConfig", "TrainedModel", "accuracy",
-    "load_model", "predict", "save_model", "train_model",
+    "predict", "train_model",
     "BcsParams", "BpsoParams", "FsResult", "GaParams", "bcs_search",
     "bpso_search", "export_fs_result", "fitness", "fitness_batch", "ga_search",
     "make_fitness_context", "run_search",

@@ -18,6 +18,7 @@ from .powergrid import (
     BusSystem,
     DcJacobian,
     NoiseModel,
+    _number,
     _row_blocks,
     _solve_state_block,
     bad_data_test,
@@ -271,7 +272,7 @@ def load_dataset(path) -> Dataset:
     is the view data[:, :m] of the parsed array, not a contiguous copy.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"dataset file not found: {path}")
     with path.open() as fh:
         header = fh.readline().strip().split(",")
@@ -316,7 +317,7 @@ def load_dataset(path) -> Dataset:
     X, y = data[:, :m], data[:, m].astype(np.int64)
     meta = {}
     side = path.with_suffix(path.suffix + ".meta")
-    if side.exists():
+    if side.is_file():
         for line in side.read_text().splitlines():
             if "=" in line:
                 key, _, val = line.partition("=")
@@ -333,9 +334,10 @@ def _parse_label(field: str) -> int:
 
 
 def _parse_meta_value(text: str):
-    for cast in (int, float):
+    """An int, else a float, in powergrid's number grammar; else the text itself."""
+    for kind in (int, float):
         try:
-            return cast(text)
+            return _number(text, kind)
         except ValueError:
             pass
     return text

@@ -277,7 +277,7 @@ def export_results(results, path) -> Path:
 
 def load_results(path) -> list:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"results file not found: {path}")
     lines = path.read_text().splitlines()
     if len(lines) < 2 or lines[0] != RESULTS_HEADER:  # export_results writes a row at least
@@ -292,7 +292,9 @@ def load_results(path) -> list:
             if converged not in ("0", "1"):
                 raise ValueError(f"converged must be 0 or 1, got {converged!r}")
             row = ExperimentResult(system=sysname, fs_method=fs, classifier=kind,
-                                   n_features=int(nf), accuracy=float(acc), seed=int(seed),
+                                   n_features=powergrid._number(nf, int),
+                                   accuracy=powergrid._number(acc),
+                                   seed=powergrid._number(seed, int),
                                    converged=converged == "1")
             if not sysname:
                 raise ValueError("system must not be empty")

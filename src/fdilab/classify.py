@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -21,13 +20,11 @@ import numpy as np
 class ScalerStats:
     """Per-feature mean/std fitted on training data.
 
-    Zero-variance columns get std 1 (their transform is just centering) and
-    are noted in `constant`.
+    Zero-variance columns get std 1 (their transform is just centering).
     """
 
     mean: np.ndarray
     std: np.ndarray
-    constant: np.ndarray
 
     def __post_init__(self):
         if not np.all(self.std > 0):
@@ -44,9 +41,7 @@ def standardize_fit(X: np.ndarray) -> ScalerStats:
         raise ValueError("need a non-empty 2-D training matrix")
     mean = X.mean(axis=0)
     std = X.std(axis=0)
-    constant = std == 0.0
-    std = np.where(constant, 1.0, std)
-    return ScalerStats(mean=mean, std=std, constant=constant)
+    return ScalerStats(mean=mean, std=np.where(std == 0.0, 1.0, std))
 
 
 def standardize_apply(stats: ScalerStats, X: np.ndarray) -> np.ndarray:
@@ -544,46 +539,3 @@ def predict(model: TrainedModel, X) -> np.ndarray:
     else:
         raise ValueError(f"unknown classifier kind {model.kind!r}")
     return pred[0] if single else pred
-
-
-# --------------------------------------------------------------- persistence
-
-_FORMAT_VERSION = 1
-
-
-def save_model(model: TrainedModel, path) -> Path:
-    """Serialize a TrainedModel to .npz (appended to the name if missing)."""
-    path = Path(path)
-    payload = {
-        "format_version": _FORMAT_VERSION,
-        "kind": model.kind,
-        "mask": model.mask,
-        "converged": model.converged,
-        "has_scaler": model.scaler is not None,
-    }
-    if model.scaler is not None:
-        payload["scaler_mean"] = model.scaler.mean
-        payload["scaler_std"] = model.scaler.std
-        payload["scaler_constant"] = model.scaler.constant
-    for key, val in model.params.items():
-        payload[f"p_{key}"] = val
-    np.savez(path, **payload)
-    return path if path.suffix == ".npz" else Path(str(path) + ".npz")
-
-
-def load_model(path) -> TrainedModel:
-    with np.load(Path(path), allow_pickle=False) as data:
-        version = int(data["format_version"])
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version {version}")
-        scaler = None
-        if bool(data["has_scaler"]):
-            scaler = ScalerStats(mean=data["scaler_mean"], std=data["scaler_std"],
-                                 constant=data["scaler_constant"])
-        params = {}
-        for key in data.files:
-            if key.startswith("p_"):
-                arr = data[key]
-                params[key[2:]] = arr.item() if arr.ndim == 0 else arr
-        return TrainedModel(kind=str(data["kind"]), params=params, scaler=scaler,
-                            mask=data["mask"], converged=bool(data["converged"]))

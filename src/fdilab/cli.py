@@ -110,7 +110,7 @@ CONFIG_KEYS.update({key: (_caster(default), default)
 
 
 def _read_config_file(path: Path) -> dict:
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     out = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):

@@ -119,12 +119,12 @@ def fitness_batch(masks, ctx: FitnessContext) -> list:
             raise ValueError("mask length mismatch")
         if not mask.any():
             raise ValueError("empty feature mask")
-    ctx.evals += len(masks)
     keys = [mask.tobytes() for mask in masks]
     misses = {key: mask for key, mask in zip(keys, masks) if key not in ctx.cache}
-    ctx.trainings += len(misses)
     if misses:
         ctx.cache.update(zip(misses, holdout_accuracies(ctx, ctx.config, list(misses.values()))))
+    ctx.evals += len(masks)
+    ctx.trainings += len(misses)
     return [ctx.cache[key] for key in keys]
 
 

@@ -114,7 +114,7 @@ def load_case(path) -> BusSystem:
     positive and finite. Errors report the file and the offending line.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"case file not found: {path}")
     buses = []
     branches = []

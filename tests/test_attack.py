@@ -463,3 +463,19 @@ class TestDatasetIO:
         ds = load_dataset(p)
         assert ds.meta == {}
         assert ds.X.shape == (2, 2)
+
+    def test_sidecar_numbers_are_ascii_decimals(self, tmp_path):
+        # int and float would read 1_0 (the stem of a case CSV 1_0.csv) as 10
+        # and the Arabic-Indic 3 as 3; only ASCII decimals are numbers
+        p = tmp_path / "ds.csv"
+        p.write_text("f1,f2,label\n0.1,0.2,1\n0.3,0.4,0\n")
+        p.with_name("ds.csv.meta").write_text(
+            "system = 1_0\nseed = 7\nsigma = 1e-2\ndigit = \u0663\nratio = 0.5\n")
+        assert load_dataset(p).meta == {"system": "1_0", "seed": 7, "sigma": 0.01,
+                                        "digit": "\u0663", "ratio": 0.5}
+
+    def test_sidecar_that_is_a_directory_is_absent(self, tmp_path):
+        p = tmp_path / "ds.csv"
+        p.write_text("f1,f2,label\n0.1,0.2,1\n0.3,0.4,0\n")
+        p.with_name("ds.csv.meta").mkdir()
+        assert load_dataset(p).meta == {}

@@ -405,7 +405,7 @@ class TestResultsIO:
         with pytest.raises(ValueError, match=r"other\.csv line 3: expected 7 fields"):
             load_results(p)
         p.write_text(f"{RESULTS_HEADER}\n{row.replace('0.9', 'high')}\n")  # a bad number
-        with pytest.raises(ValueError, match=r"other\.csv line 2: could not convert"):
+        with pytest.raises(ValueError, match=r"other\.csv line 2: not a decimal number: 'high'"):
             load_results(p)
         p.write_text(f"{RESULTS_HEADER}\n{row[:-1]}yes\n")  # a converged flag not 0 or 1
         with pytest.raises(ValueError, match=r"other\.csv line 2: converged must be 0 or 1"):
@@ -419,6 +419,11 @@ class TestResultsIO:
                              ("ieee14,,knn,34,0.9,0,1", "unknown FS method ''"),
                              ("ieee14,none,forest,34,0.9,0,1", "unknown classifier 'forest'"),
                              ("ieee14,none,knn,34,0.9,-5,1", "seed must be non-negative"),
+                             # int and float would read 34, 0.95 and 3
+                             ("ieee14,none,knn,3_4,0.9,0,1", "not a decimal integer: '3_4'"),
+                             ("ieee14,none,knn,34,0.9_5,0,1", "not a decimal number: '0.9_5'"),
+                             ("ieee14,none,knn,34,0.9,\u0663,1",
+                              "not a decimal integer: '\u0663'"),
                              ("ieee14,nofs,forest,34,0.9,-5,1", "unknown FS method")):
             p.write_text(f"{RESULTS_HEADER}\n{row}\n{bad}\n")
             with pytest.raises(ValueError, match=rf"other\.csv line 3: {message}"):

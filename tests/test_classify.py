@@ -13,9 +13,7 @@ from fdilab import (
     SvmConfig,
     TrainedModel,
     accuracy,
-    load_model,
     predict,
-    save_model,
     train_model,
 )
 from fdilab import classify
@@ -79,7 +77,6 @@ class TestScaler:
         stats = standardize_fit(X)
         assert np.allclose(stats.mean, [1.0, 5.0])
         assert np.allclose(stats.std, [1.0, 1.0])  # constant column falls back to 1
-        assert stats.constant.tolist() == [False, True]
         out = standardize_apply(stats, X)
         assert np.allclose(out, [[-1.0, 0.0], [1.0, 0.0]])
 
@@ -102,7 +99,7 @@ class TestScaler:
         for other in (standardize_fit(np.asfortranarray(X)), standardize_fit(X[:, cols]),
                       standardize_fit(np.ascontiguousarray(X[:, cols]))):
             picked = slice(None) if other.mean.shape == stats.mean.shape else cols
-            for name in ("mean", "std", "constant"):
+            for name in ("mean", "std"):
                 assert getattr(other, name).tobytes() == getattr(stats, name)[picked].tobytes()
 
 
@@ -882,37 +879,3 @@ class TestCommonSurface:
             model = train_model(X, y, kind, cfg)
             assert np.array_equal(predict(model, X[perm]), predict(model, X)[perm])
 
-
-class TestPersistence:
-    @pytest.mark.parametrize("kind,cfg", [
-        ("svm", SvmConfig(C=1.0, gamma=0.5)),
-        ("knn", KnnConfig(k=3)),
-        ("ann", AnnConfig(epochs=15)),
-    ])
-    def test_round_trip_preserves_predictions(self, tmp_path, kind, cfg):
-        X, y = blobs(seed=14)
-        model = train_model(X, y, kind, cfg)
-        path = save_model(model, tmp_path / f"{kind}.npz")
-        back = load_model(path)
-        assert back.kind == kind
-        assert back.converged == model.converged
-        assert np.array_equal(back.mask, model.mask)
-        assert np.array_equal(predict(back, X), predict(model, X))
-
-    def test_suffix_appended(self, tmp_path):
-        X, y = blobs(seed=15)
-        model = train_model(X, y, "knn", KnnConfig(k=1))
-        path = save_model(model, tmp_path / "model")
-        assert path.name == "model.npz"
-        assert path.exists()
-
-    def test_unsupported_version(self, tmp_path):
-        X, y = blobs(seed=16)
-        model = train_model(X, y, "knn", KnnConfig(k=1))
-        path = save_model(model, tmp_path / "m.npz")
-        with np.load(path) as data:
-            payload = {k: data[k] for k in data.files}
-        payload["format_version"] = np.array(99)
-        np.savez(path, **payload)
-        with pytest.raises(ValueError, match="version"):
-            load_model(path)

@@ -68,6 +68,25 @@ class TestExitCodes:
         assert load_dataset(tmp_path / "d.csv").n_samples == 20
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["report", "--results", "{d}"], "results file not found: {d}"),
+        (["select", "--dataset", "{d}", "--out-dir", "{out}"], "dataset file not found: {d}"),
+        (["gridsearch", "--dataset", "{d}", "--out-dir", "{out}"],
+         "dataset file not found: {d}"),
+        (["benchmark", "--config", "{d}", "--out-dir", "{out}"], "config file not found: {d}"),
+        (["benchmark", "--systems", "{d}", "--out-dir", "{out}"], "case file not found: {d}"),
+        (["generate", "--case", "{d}", "--out-dir", "{out}"], "case file not found: {d}"),
+    ], ids=["report", "select", "gridsearch", "benchmark --config", "benchmark --systems",
+            "generate"])
+    def test_path_that_is_a_directory_is_config_error(self, tmp_path, capsys, argv, message):
+        # a case path names a CSV by its suffix, so the directory has one
+        d, out = tmp_path / "dir.csv", tmp_path / "out"
+        d.mkdir()
+        assert run([arg.format(d=d, out=out) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"fdilab: {message.format(d=d)}\n"
+        assert not out.exists()
+
+
 class TestGenerate:
     def test_writes_dataset_with_expected_counts(self, tmp_path):
         dest = tmp_path / "ds.csv"

@@ -327,6 +327,7 @@ class TestBatchedFitness:
         ctx = make_fitness_context(X, y, config=KnnConfig(k=50), seed=0)
         with pytest.raises(ValueError, match=f"^k=50 exceeds training size {n_train}$"):
             fitness(mask, ctx)
+        assert (ctx.evals, ctx.trainings, ctx.cache) == (0, 0, {})
         fitness(mask, make_fitness_context(X, y, config=KnnConfig(k=n_train), seed=0))
 
 
