@@ -320,8 +320,8 @@ def load_dataset(path) -> Dataset:
     if side.is_file():
         for line in side.read_text().splitlines():
             if "=" in line:
-                key, _, val = line.partition("=")
-                meta[key.strip()] = _parse_meta_value(val.strip())
+                key, _, val = (part.strip() for part in line.partition("="))
+                meta[key] = val if key in _NAME_KEYS else _parse_meta_value(val)
     return Dataset(X=X, y=y, meta=meta)
 
 
@@ -331,6 +331,9 @@ def _parse_label(field: str) -> int:
     if text not in ("0", "1"):
         raise ValueError(f"label must be 0 or 1, got {text!r}")
     return int(text)
+
+
+_NAME_KEYS = ("system", "case")  # their values are names: a case `01.csv` stays "01"
 
 
 def _parse_meta_value(text: str):

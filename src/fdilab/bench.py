@@ -5,7 +5,8 @@ export/reporting.
 Everything is reproducible from one master seed. Sub-seeds for datasets and
 searches are derived by hashing string tokens, so adding systems or methods
 never shifts the randomness of the others, and worker-pool scheduling cannot
-affect results.
+affect results. A system's token is its case name, so one case file seeds
+alike by whatever path it is named.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def _fs_job(spec: ExperimentSpec, system: str):
         if fs == "none":
             mask = np.ones(train.n_features, dtype=bool)
         else:
-            search = search or wrapper_searches(spec, system, train.X, train.y)
+            search = search or wrapper_searches(spec, sys.name, train.X, train.y)
             fs_runs[(system, fs)] = search(fs)
             mask = np.asarray(fs_runs[(system, fs)][0].best_mask, dtype=bool)
         n_features = int(mask.sum())

@@ -224,15 +224,8 @@ def _svm_fit(X: np.ndarray, y: np.ndarray, cfg: SvmConfig):
     K = _gram(X, X, cfg.gamma)
     alpha, b, converged = _smo(K, y_pm, cfg)
     keep = alpha > 1e-12
-    params = {
-        "sv": X[keep].copy(),
-        "sv_alpha": alpha[keep].copy(),
-        "sv_y": y_pm[keep].copy(),
-        "b": b,
-        "C": cfg.C,
-        "gamma": cfg.gamma,
-        "tol": cfg.tol,
-    }
+    params = {"sv": X[keep], "sv_alpha": alpha[keep], "sv_y": y_pm[keep], "b": b,
+              "gamma": cfg.gamma}
     return params, converged
 
 
@@ -499,7 +492,7 @@ def train_model(X, y, kind: str, cfg, mask=None, standardize: bool = True) -> Tr
     elif kind == "knn":
         if cfg.k > Xs.shape[0]:
             raise ValueError(f"k={cfg.k} exceeds training size {Xs.shape[0]}")
-        params, converged = {"X": Xs, "y": y.copy(), "k": cfg.k}, True
+        params, converged = {"X": Xs, "y": y, "k": cfg.k}, True
     elif kind == "ann":
         params, converged = _ann_fit(Xs, y, cfg)
     else:
@@ -508,17 +501,15 @@ def train_model(X, y, kind: str, cfg, mask=None, standardize: bool = True) -> Tr
 
 
 def _prepare(model: TrainedModel, X) -> np.ndarray:
-    """Apply the model's feature mask and scaler to raw feature rows.
+    """Apply the model's feature mask and scaler to raw full-width feature rows.
 
-    Full-width and pre-masked rows leave in the Fortran layout that X[:, mask]
-    gives, so both take the same BLAS path and round alike.
+    X[:, mask] is in Fortran order whatever X's layout, so every query
+    reaches BLAS in one layout and rounds alike.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] == model.mask.shape[0]:
-        X = X[:, model.mask]
-    elif X.shape[1] != int(model.mask.sum()):
-        raise ValueError("feature count matches neither the full nor the masked space")
-    X = np.asfortranarray(X)
+    if X.shape[1] != model.mask.shape[0]:
+        raise ValueError("feature count does not match the model's")
+    X = X[:, model.mask]
     if not np.isfinite(X).all():
         raise ValueError("query features must be finite")
     return standardize_apply(model.scaler, X) if model.scaler is not None else X

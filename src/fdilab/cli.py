@@ -5,11 +5,10 @@ Subcommands: generate (datasets), gridsearch (hyperparameters), select
 (pretty-print a results CSV).
 
 Configuration comes from defaults, then an optional flat `key = value` file
-(--config), then the FDI_LAB_THREADS environment variable, then flags; later
-layers win. A setting's flag is its config key with dashes (--n-train sets
-n_train), cast like the same value in a config file. Every run writes the
-resolved configuration to a manifest so it can be reproduced. Exit codes:
-0 success, 1 usage or configuration error, 2 runtime failure.
+(--config), then flags; later layers win. A setting's flag is its config key
+with dashes (--n-train sets n_train), cast like the same value in a config
+file. Every run writes its resolved configuration to a manifest to reproduce
+it. Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import csv
 import dataclasses
 import hashlib
 import math
-import os
 import sys as _sys
 from pathlib import Path
 
@@ -138,18 +136,10 @@ def _flag(key: str) -> str:
 
 
 def _resolve(args) -> dict:
-    """defaults <- config file <- FDI_LAB_THREADS <- explicit flags."""
+    """defaults <- config file <- explicit flags."""
     cfg = {key: default for key, (_, default) in CONFIG_KEYS.items()}
     if getattr(args, "config", None):
         cfg.update(_read_config_file(Path(args.config)))
-    env_threads = os.environ.get("FDI_LAB_THREADS")
-    if env_threads is not None:
-        try:
-            cfg["threads"] = _parse_int(env_threads)
-        except ValueError:
-            cfg["threads"] = 0
-        if cfg["threads"] < 1:
-            raise ConfigError(f"FDI_LAB_THREADS must be a positive integer, got {env_threads!r}")
     for key, (caster, _default) in CONFIG_KEYS.items():
         val = getattr(args, key, None)
         if val is not None:

@@ -323,14 +323,12 @@ def solve_dc_state(sys: BusSystem, jac: DcJacobian, injections: np.ndarray) -> n
     Uses the injection rows of H restricted to non-reference buses, which is
     the reduced susceptance matrix of the DC flow equations. The reference bus
     injection is implied by the others (lossless balance). injections is one
-    vector (n_buses,) or a block (k, n_buses) of them; a block is solved with
-    one LU and gives a C-contiguous (k, n_states) block of angles.
+    vector (n_buses,).
     """
     p = np.asarray(injections, dtype=float)
-    if p.ndim not in (1, 2) or p.shape[-1] != sys.n_buses:
+    if p.shape != (sys.n_buses,):
         raise ValueError("injection vector length mismatch")
-    rhs = p[..., [b - 1 for b in jac.state_buses]]
-    return np.ascontiguousarray(_solve_state_block(sys, jac, rhs).T)
+    return _solve_state_block(sys, jac, p[[b - 1 for b in jac.state_buses]])
 
 
 def _solve_state_block(sys: BusSystem, jac: DcJacobian, rhs: np.ndarray) -> np.ndarray:

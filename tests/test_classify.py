@@ -827,9 +827,9 @@ class TestCommonSurface:
             with pytest.raises(ValueError, match="labels must be 0 or 1"):
                 train_model(X, bad, kind, cfg)
 
-    def test_full_and_premasked_queries_round_alike(self):
-        # one layout for every caller: before, 171 of these 300 SVM values
-        # differed in the last bits between full-width and C-ordered queries
+    def test_query_layouts_round_alike(self):
+        # X[:, mask] is in Fortran order whatever the query's layout, so every
+        # query takes one BLAS path and gives the same bits
         rng = np.random.default_rng(34)
         X = rng.normal(size=(300, 34))
         y = (X[:, 0] + 0.5 * rng.normal(size=300) > 0).astype(np.int64)
@@ -839,7 +839,9 @@ class TestCommonSurface:
         ann = train_model(X, y, "ann", AnnConfig(epochs=5), mask=mask)
         want_svm = svm_decision(svm, Q).tobytes()
         want_ann = ann_forward(ann.params, classify._prepare(ann, Q)).tobytes()
-        for rows in (np.ascontiguousarray(Q[:, mask]), np.asfortranarray(Q[:, mask])):
+        wide = np.zeros((300, 68))
+        wide[:, ::2] = Q
+        for rows in (np.asfortranarray(Q), wide[:, ::2], Q.T.copy().T):
             assert svm_decision(svm, rows).tobytes() == want_svm
             assert ann_forward(ann.params, classify._prepare(ann, rows)).tobytes() == want_ann
 
@@ -852,11 +854,11 @@ class TestCommonSurface:
         X, y = blobs(dim=6, seed=10)
         mask = np.array([True, False, True, True, False, False])
         model = train_model(X, y, "knn", KnnConfig(k=3), mask=mask)
-        full = predict(model, X)
-        pre = predict(model, X[:, mask])
-        assert np.array_equal(full, pre)
-        with pytest.raises(ValueError, match="feature count"):
-            predict(model, X[:, :4])
+        narrow = train_model(X[:, mask], y, "knn", KnnConfig(k=3))
+        assert np.array_equal(predict(model, X), predict(narrow, X[:, mask]))
+        for rows in (X[:, mask], X[:, :4]):  # a row is full width: pre-masked rows are refused
+            with pytest.raises(ValueError, match="feature count"):
+                predict(model, rows)
 
     def test_empty_mask_rejected(self):
         X, y = blobs(seed=11)
