@@ -15,7 +15,7 @@ import functools
 import hashlib
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,17 +43,23 @@ class GridSearchResult:
     rows: tuple          # (config, accuracy or None, error or None) per grid point
 
 
-def default_grid(classifier: str) -> tuple:
-    """Grids spanning the usual winning region for each classifier family."""
+def default_grid(classifier: str, base=None) -> tuple:
+    """Grids spanning the usual winning region for each classifier family.
+
+    A grid sweeps its own axes only: SVM C and gamma, KNN k, ANN alpha. Every
+    other field comes from base, the classifier's default config when None.
+    """
     if classifier == "svm":
-        return tuple(SvmConfig(C=c, gamma=g)
-                     for c in (1.0, 10.0, 100.0, 1000.0, 10000.0)
-                     for g in (1e-5, 1e-4, 1e-3, 1e-2, 1e-1))
-    if classifier == "knn":
-        return tuple(KnnConfig(k=k) for k in range(1, 21))
-    if classifier == "ann":
-        return tuple(AnnConfig(alpha=a) for a in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1))
-    raise ValueError(f"unknown classifier {classifier!r}")
+        axes = [{"C": c, "gamma": g} for c in (1.0, 10.0, 100.0, 1000.0, 10000.0)
+                for g in (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)]
+    elif classifier == "knn":
+        axes = [{"k": k} for k in range(1, 21)]
+    elif classifier == "ann":
+        axes = [{"alpha": a} for a in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)]
+    else:
+        raise ValueError(f"unknown classifier {classifier!r}")
+    base = classify.CONFIGS[classifier]() if base is None else base
+    return tuple(replace(base, **point) for point in axes)
 
 
 def grid_search(ctx: featsel.FitnessContext, grid) -> GridSearchResult:

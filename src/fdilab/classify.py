@@ -109,8 +109,8 @@ class KnnConfig:
 
 @dataclass(frozen=True)
 class AnnConfig:
-    alpha: float = 0.1
-    epochs: int = 200
+    alpha: float = 1.0
+    epochs: int = 50
     batch: int = 32
     seed: int = 0
 

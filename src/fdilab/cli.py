@@ -214,7 +214,8 @@ def cmd_gridsearch(args) -> int:
     try:  # every grid point failed: the dataset cannot train this classifier
         ctx = featsel.make_fitness_context(ds.X, ds.y, val_fraction=spec.val_fraction,
                                            seed=spec.seed, standardize=spec.standardize)
-        results = [bench.grid_search(ctx, bench.default_grid(kind)) for kind in spec.classifiers]
+        results = [bench.grid_search(ctx, bench.default_grid(kind, getattr(spec, kind)))
+                   for kind in spec.classifiers]
     except ValueError as exc:
         raise ConfigError(f"{args.dataset}: {exc}") from None
     out = _out_dir(cfg)

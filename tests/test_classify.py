@@ -9,14 +9,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from fdilab import (
     AnnConfig,
+    ExperimentSpec,
     KnnConfig,
+    NoiseModel,
     SvmConfig,
     TrainedModel,
     accuracy,
+    generate_dataset,
+    load_builtin,
     predict,
     train_model,
 )
 from fdilab import classify
+from fdilab.bench import _experiment_datasets
 from fdilab.featsel import FitnessContext, fitness_batch, make_fitness_context
 from fdilab.classify import (
     _gram,
@@ -785,6 +790,25 @@ class TestAnnFitMatchesOracle:
         for z in (special, rand, special.reshape(3, 5)):
             assert np.array_equal(classify._sigmoid(z), sigmoid_oracle(z), equal_nan=True)
         assert classify._sigmoid(np.float64(-2.0)) == sigmoid_oracle(np.float64(-2.0))
+
+
+class TestAnnAtTheShippedConfig:
+    def test_default_fit_equals_oracle_on_14_bus_rows(self):
+        ds = generate_dataset(load_builtin("ieee14"), 200, 0.5, NoiseModel(0.01), 0.1, None,
+                              seed=0)
+        X = standardize_apply(standardize_fit(ds.X), ds.X)
+        got, converged = classify._ann_fit(X, ds.y, AnnConfig())
+        want = ann_fit_oracle(X, ds.y, AnnConfig())
+        assert converged and got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+    @pytest.mark.parametrize("system", ["ieee14", "ieee57", "ieee118"])
+    def test_default_fit_on_raw_features_does_not_diverge(self, system):
+        # raw ieee118 features reach about 57; _ann_fit raises on divergence
+        train, _ = _experiment_datasets(ExperimentSpec(), load_builtin(system))
+        model = train_model(train.X, train.y, "ann", AnnConfig(), standardize=False)
+        assert all(np.isfinite(w).all() for w in model.params.values())
 
 
 class TestCommonSurface:

@@ -14,7 +14,10 @@ import pytest
 
 from fdilab import bench, cli, load_dataset, powergrid, save_dataset
 from fdilab.bench import RESULTS_HEADER, load_results
+from fdilab.classify import AnnConfig, SvmConfig
 from fdilab.cli import CONFIG_KEYS, ConfigError, _read_config_file, main
+
+from oracles import grid_search_oracle
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -273,6 +276,24 @@ class TestGridsearchCmd:
         assert run(argv) == 0
         assert capsys.readouterr().out == first
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == outputs
+
+    def test_config_keys_reach_the_fields_the_grid_does_not_sweep(self, tmp_path):
+        ds_path = tmp_path / "ds.csv"
+        assert run(["generate", "--case", "ieee14", "--n", "60", "--seed", "6",
+                    "--out", str(ds_path), "--out-dir", str(tmp_path)]) == 0
+        conf = tmp_path / "gs.conf"
+        conf.write_text("ann_epochs = 1\nsvm_max_sweeps = 1\n")
+        out_dir = tmp_path / "gs"
+        assert run(["gridsearch", "--dataset", str(ds_path), "--classifier", "svm,ann",
+                    "--config", str(conf), "--out-dir", str(out_dir)]) == 0
+        ds = load_dataset(ds_path)
+        for kind, base in (("svm", SvmConfig(max_sweeps=1)), ("ann", AnnConfig(epochs=1))):
+            want = grid_search_oracle(ds.X, ds.y, kind, bench.default_grid(kind, base),
+                                      bench.ExperimentSpec())
+            with (out_dir / f"grid_{kind}.csv").open() as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows == [[repr(cfg), "" if acc is None else repr(acc), err or ""]
+                            for cfg, acc, err in want]
 
     def test_one_context_for_every_classifier(self, tmp_path, monkeypatch):
         ds_path = tmp_path / "ds.csv"
