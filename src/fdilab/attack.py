@@ -297,9 +297,13 @@ def load_dataset(path) -> Dataset:
                 data = parse(lines())
         except (ValueError, OverflowError):
             data = None
-    # loadtxt skips blank lines, so a row count short of the line count fails too
-    if (data is None or data.shape != (n_lines, m + 1) or n_lines == 0
-            or not _all_finite(data[:, :m])):
+    meta = {}  # filled from the sidecar once the body is good
+    try:  # loadtxt skips blank lines, so a row count short of the line count fails too
+        if data is None or data.shape != (n_lines, m + 1) or n_lines == 0:
+            raise ValueError("short body")
+        # Dataset's check is the only finiteness scan of the features
+        ds = Dataset(X=data[:, :m], y=data[:, m].astype(np.int64), meta=meta)
+    except ValueError:  # a failed parse, a short body or a non-finite feature
         with path.open() as fh:
             fh.readline()
             for lineno, line in enumerate(fh, start=2):
@@ -313,16 +317,14 @@ def load_dataset(path) -> Dataset:
                     raise ValueError(f"{path} line {lineno}: "
                                      f"{str(exc).replace('row 0, ', '')}") from None
         # no line is bad, so the body is empty
-        raise ValueError(f"{path}: no data rows")
-    X, y = data[:, :m], data[:, m].astype(np.int64)
-    meta = {}
+        raise ValueError(f"{path}: no data rows") from None
     side = path.with_suffix(path.suffix + ".meta")
     if side.is_file():
         for line in side.read_text().splitlines():
             if "=" in line:
                 key, _, val = (part.strip() for part in line.partition("="))
                 meta[key] = val if key in _NAME_KEYS else _parse_meta_value(val)
-    return Dataset(X=X, y=y, meta=meta)
+    return ds
 
 
 def _parse_label(field: str) -> int:

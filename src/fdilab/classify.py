@@ -241,19 +241,24 @@ def svm_decision(model: TrainedModel, X) -> np.ndarray:
 
 # ----------------------------------------------------------------------- KNN
 
-KNN_WORK_BYTES = 1 << 20  # one knn_votes Gram chunk, or row block of its training copy
+KNN_WORK_BYTES = 1 << 20  # one votes Gram chunk, or row block of the training copy
 
 
 class KnnBlocks:
-    """The rows of knn_votes(Q, B, train_y, ...) laid out once for any number of
-    calls: BT holds B's columns as rows, class 1 first (the first n_1), copied
-    a row block of about KNN_WORK_BYTES at a time; Q's columns are read through
-    its transpose, a view. Q, B and train_y are kept for the fallback."""
+    """2-D query rows Q and training rows B of one width, one label per row of B,
+    laid out once for any number of votes calls: BT holds B's columns as rows,
+    class 1 first (the first n_1), copied a row block of about KNN_WORK_BYTES
+    at a time; Q's columns are read through its transpose, a view. Q, B and
+    train_y are kept for the fallback."""
 
     def __init__(self, Q, B, train_y):
-        self.Q = np.atleast_2d(np.asarray(Q, dtype=float))
+        self.Q = np.asarray(Q, dtype=float)
         self.B = np.asarray(B, dtype=float)
         self.train_y = np.asarray(train_y)
+        if (self.Q.ndim != 2 or self.Q.shape[1:] != self.B.shape[1:]
+                or self.train_y.shape != self.B.shape[:1]):
+            raise ValueError(f"query rows {self.Q.shape}, training rows {self.B.shape} and "
+                             f"labels {self.train_y.shape} do not match")
         ones = self.train_y == 1
         self.n_1 = int(np.count_nonzero(ones))
         order = np.argsort(~ones, kind="stable")
@@ -263,16 +268,50 @@ class KnnBlocks:
             self.BT[:, start:start + step] = self.B[order[start:start + step]].T
 
     def votes(self, k: int, masks) -> np.ndarray:
-        """knn_votes of the held rows."""
-        masks = np.atleast_2d(np.asarray(masks, dtype=bool))
-        n_b, n_1 = self.B.shape[0], self.n_1
+        """KNN labels, shape (P, n_q), of the query rows under each of the P
+        feature masks of masks, shape (P, n_f); an empty batch returns at once.
+
+        Rows with a distance tie at the k-th place keep the lowest training
+        indices, and split votes go to class 0.
+
+        Training rows b are ranked for a query q by g = |b|_w^2 - 2<q, b>_w,
+        the squared distance under the 0/1 mask w less |q|_w^2: one matrix
+        product [-2q, 1] . [b, |b|_w^2] per mask over its own columns, in
+        chunks of about KNN_WORK_BYTES (at least one query row). Of the k
+        nearest rows at least h = k // 2 + 1 are class 1 or at least
+        k - h + 1 are class 0, never both, so the label is 1 iff a_1 < a_0:
+        the h-th smallest g of the class-1 block and the (k - h + 1)-th of
+        the class-0 block, each partitioned in place. Too few class-1
+        (class-0) rows for that make every label 0 (1).
+
+        A (mask, query) pair is certified when |a_0 - a_1| > 16 gamma M, with
+        gamma = nu / (1 - nu), nu = (|U| + 3) 2^-53, U the union of the
+        batch's columns and M = |q|_w^2 + max_b |b|_w^2. A computed g (at most
+        |U| + 1 terms, one of them |b|_w^2 rounded) is within 3 gamma M of the
+        exact g, and a distance d <= 2M that _knn_votes_direct sums over U is
+        within 2 gamma M of the exact d (Higham, Accuracy and Stability of
+        Numerical Algorithms, 2002, sec. 3.1), so nu is taken at |U|. An order
+        statistic moves by at most its entries' largest error, so the direct
+        kernel's two order statistics differ by a_0 - a_1 to within
+        10 gamma M: the same sign, no tie, and by the rank argument the same
+        label under any tie rule. Rows with an uncertified pair (exact ties,
+        near-duplicate training rows) are recomputed by _knn_votes_direct, so
+        the tie rules hold exactly.
+        """
+        n_b, n_f = self.B.shape
+        n_1, n_q = self.n_1, self.Q.shape[0]
+        masks = np.asarray(masks, dtype=bool)
+        if masks.shape == (0,):  # an empty list of masks
+            masks = masks.reshape(0, n_f)
+        if masks.ndim != 2 or masks.shape[1] != n_f:
+            raise ValueError(f"masks must have shape (P, {n_f}), got {masks.shape}")
         if k < 1:
             raise ValueError("k must be at least 1")
         if k > n_b:
             raise ValueError(f"k={k} exceeds training size {n_b}")
-        P, n_q = masks.shape[0], self.Q.shape[0]
+        P = masks.shape[0]
         h = k // 2 + 1  # the class-1 votes of a label 1
-        if n_1 < h or n_b - n_1 < k - h + 1:
+        if P == 0 or n_1 < h or n_b - n_1 < k - h + 1:
             return np.full((P, n_q), n_1 >= h, dtype=np.int64)
         nu = (np.count_nonzero(masks.any(axis=0)) + 3) * np.finfo(float).eps / 2
         rows = max(1, min(n_q, KNN_WORK_BYTES // (8 * n_b)))
@@ -307,40 +346,9 @@ class KnnBlocks:
         return out
 
 
-def knn_votes(Q, B, train_y, k: int, masks) -> np.ndarray:
-    """KNN labels of the query rows Q under each feature mask, shape (P, n_q).
-
-    Rows with a distance tie at the k-th place keep the lowest training
-    indices, and split votes go to class 0.
-
-    Training rows b are ranked for a query q by g = |b|_w^2 - 2<q, b>_w, the
-    squared distance under the 0/1 mask w less |q|_w^2: one matrix product
-    [-2q, 1] . [b, |b|_w^2] per mask over its own columns, in chunks of about
-    KNN_WORK_BYTES (at least one query row). Of the k nearest rows at least
-    h = k // 2 + 1 are class 1 or at least k - h + 1 are class 0, never both,
-    so the label is 1 iff a_1 < a_0: the h-th smallest g of the class-1 block
-    and the (k - h + 1)-th of the class-0 block, each partitioned in place.
-    Too few class-1 (class-0) rows for that make every label 0 (1).
-
-    A (mask, query) pair is certified when |a_0 - a_1| > 16 gamma M, with
-    gamma = nu / (1 - nu), nu = (|U| + 3) 2^-53, U the union of the batch's
-    columns and M = |q|_w^2 + max_b |b|_w^2. A computed g (at most |U| + 1
-    terms, one of them |b|_w^2 rounded) is within 3 gamma M of the exact g,
-    and a distance d <= 2M that _knn_votes_direct sums over U is within
-    2 gamma M of the exact d (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, sec. 3.1), so nu is taken at |U|. An order statistic
-    moves by at most its entries' largest error, so the direct kernel's two
-    order statistics differ by a_0 - a_1 to within 10 gamma M: the same
-    sign, no tie, and by the rank argument the same label under any tie
-    rule. Rows with an uncertified pair (exact ties, near-duplicate training
-    rows) are recomputed by _knn_votes_direct, so the tie rules hold exactly.
-    """
-    return KnnBlocks(Q, B, train_y).votes(k, masks)
-
-
 def _knn_votes_direct(Q, B, train_y, k: int, masks) -> np.ndarray:
-    """knn_votes from the masked sums of squared coordinate differences, for
-    2-D float Q and B and 2-D bool masks as knn_votes checks them.
+    """KnnBlocks.votes from the masked sums of squared coordinate differences,
+    for 2-D float Q and B and 2-D bool masks as KnnBlocks checks them.
 
     One query row at a time: its (column, train) difference block over U is
     squared and multiplied by the 0/1 masks, and the first k of a stable
@@ -420,15 +428,6 @@ def _ann_backward(W2: np.ndarray, Y: np.ndarray, A1, S, P):
     return dZ1, P
 
 
-def ann_forward(params: dict, X) -> np.ndarray:
-    """Class scores: sigmoid hidden layer, sigmoid output nodes, softmax."""
-    X = np.asarray(X, dtype=float)
-    if X.shape[-1] != params["W1"].shape[1]:
-        raise ValueError("feature count does not match the input layer")
-    P = _ann_layers(params, np.atleast_2d(X))[2]
-    return P[0] if X.ndim == 1 else P
-
-
 def _ann_fit(X: np.ndarray, y: np.ndarray, cfg: AnnConfig):
     """Minibatch gradient descent in place: W -= alpha dZ'A, theta += alpha sum(dZ)
     (= theta - alpha * grad bit for bit). A non-finite weight stays non-finite,
@@ -506,9 +505,10 @@ def _prepare(model: TrainedModel, X) -> np.ndarray:
     X[:, mask] is in Fortran order whatever X's layout, so every query
     reaches BLAS in one layout and rounds alike.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != model.mask.shape[0]:
-        raise ValueError("feature count does not match the model's")
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.mask.shape[0]:
+        raise ValueError(f"query rows must be 2-D with the model's feature count "
+                         f"{model.mask.shape[0]}, got shape {X.shape}")
     X = X[:, model.mask]
     if not np.isfinite(X).all():
         raise ValueError("query features must be finite")
@@ -516,17 +516,14 @@ def _prepare(model: TrainedModel, X) -> np.ndarray:
 
 
 def predict(model: TrainedModel, X) -> np.ndarray:
-    """Predict labels for raw (unmasked, unscaled) feature rows."""
-    single = np.asarray(X).ndim == 1
+    """Predict labels for raw (unmasked, unscaled) 2-D feature rows."""
     if model.kind == "svm":
-        pred = (svm_decision(model, X) > 0).astype(np.int64)
-    elif model.kind == "knn":
+        return (svm_decision(model, X) > 0).astype(np.int64)
+    if model.kind == "knn":
         p = model.params
-        pred = knn_votes(_prepare(model, X), p["X"], p["y"], p["k"],
-                         np.ones((1, p["X"].shape[1]), dtype=bool))[0]
-    elif model.kind == "ann":
-        P = ann_forward(model.params, _prepare(model, X))
-        pred = (P[:, 1] > P[:, 0]).astype(np.int64)
-    else:
-        raise ValueError(f"unknown classifier kind {model.kind!r}")
-    return pred[0] if single else pred
+        return KnnBlocks(_prepare(model, X), p["X"], p["y"]).votes(
+            p["k"], np.ones((1, p["X"].shape[1]), dtype=bool))[0]
+    if model.kind == "ann":
+        P = _ann_layers(model.params, _prepare(model, X))[2]
+        return (P[:, 1] > P[:, 0]).astype(np.int64)
+    raise ValueError(f"unknown classifier kind {model.kind!r}")

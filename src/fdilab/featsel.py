@@ -90,13 +90,13 @@ def make_fitness_context(X, y, config=KnnConfig(), val_fraction: float = 0.2, se
 def holdout_accuracies(ctx: FitnessContext, config, masks) -> list:
     """Validation accuracy of the classifier config's type names, under config,
     trained on each mask's columns of ctx's scaled training split. KNN masks
-    share one call of the KNN kernel on the context's blocks; svm and ann
-    train per mask."""
+    share one kernel call on the context's blocks, scored in one comparison
+    (exact counts, so accuracy()'s values); svm and ann train per mask."""
     kind = next((name for name, cls in CONFIGS.items() if isinstance(config, cls)), None)
     if kind is None:
         raise ValueError(f"unknown classifier for config {config!r}")
     if kind == "knn":
-        return [accuracy(row, ctx.y_val) for row in ctx.knn.votes(config.k, masks)]
+        return (ctx.knn.votes(config.k, masks) == ctx.y_val).mean(axis=1).tolist()
     return [accuracy(predict(train_model(ctx.scaled_train, ctx.y_train, kind, config,
                                          mask=mask, standardize=False), ctx.scaled_val),
                      ctx.y_val) for mask in masks]

@@ -242,8 +242,8 @@ def knn_oracle(train_X, train_y, k, x):
 
 
 def knn_votes_union_oracle(Q, B, train_y, k, masks, work_bytes=1 << 20):
-    """knn_votes as one Gram product per query chunk over U, the union of the
-    masks' columns: every mask's g = |b|_w^2 - 2<q, b>_w comes from one GEMM
+    """KnnBlocks.votes as one Gram product per query chunk over U, the union of
+    the masks' columns: every mask's g = |b|_w^2 - 2<q, b>_w comes from one GEMM
     whose zero weights drop the unselected columns, a partition copy gives
     the k-th and (k+1)-th smallest g, and a second pass over the class-1
     prefix counts the votes. Same certificate and the same fallback to
@@ -285,7 +285,7 @@ def knn_votes_union_oracle(Q, B, train_y, k, masks, work_bytes=1 << 20):
 
 
 def knn_votes_class_split_oracle(Q, B, train_y, k, masks, work_bytes=1 << 20):
-    """knn_votes by an exact class-split selection: per mask one product over
+    """KnnBlocks.votes by an exact class-split selection: one product per mask over
     its own columns, both class blocks of g partitioned at k, the k-th and
     (k+1)-th smallest g from a partition of the two blocks' k + 1 smallest,
     and the class-1 candidates at or below the k-th counted as votes. The

@@ -24,12 +24,12 @@ from fdilab import classify
 from fdilab.bench import _experiment_datasets
 from fdilab.featsel import FitnessContext, fitness_batch, make_fitness_context
 from fdilab.classify import (
+    KnnBlocks,
+    _ann_layers,
     _gram,
     _smo,
-    ann_forward,
     ann_hidden_size,
     ann_init,
-    knn_votes,
     standardize_apply,
     standardize_fit,
     stratified_split,
@@ -243,9 +243,9 @@ class TestSvm:
         }
         model = TrainedModel(kind="svm", params=params, scaler=None,
                              mask=np.ones(2, dtype=bool))
-        mid = np.array([0.0, 0.0])
+        mid = np.array([[0.0, 0.0]])
         assert svm_decision(model, mid)[0] == 0.0
-        assert predict(model, mid) == 0
+        assert predict(model, mid)[0] == 0
 
     def test_dual_feasibility(self):
         for seed in range(5):
@@ -337,7 +337,7 @@ class TestSvm:
 class TestMemoryBounds:
     """Peak traced memory of the SVM kernel path at n = 1,000, in units of the
     n x n Gram K (8 MB), which is the only full-size array it holds, of the
-    training rows' copies in train_model, and of one knn_votes call and one
+    training rows' copies in train_model, and of one KnnBlocks.votes call and one
     KNN wrapper context at 118-bus width."""
 
     X, y = blobs(n_per=500, spread=1.5, dim=34, seed=10)
@@ -368,7 +368,8 @@ class TestMemoryBounds:
         masks = np.zeros((20, n_f), dtype=bool)
         for p in range(20):
             masks[p, (110 * p + np.arange(110)) % n_f] = True
-        peaks = [_traced_peak(lambda: knn_votes(Q, B, y, 12, masks[:P]))[1] for P in (5, 20)]
+        peaks = [_traced_peak(lambda: KnnBlocks(Q, B, y).votes(12, masks[:P]))[1]
+                 for P in (5, 20)]
         # the class-sorted training rows over U (8 n_f n_b bytes), then a few
         # budgets: the Gram chunk, the query rows over U, one mask's columns
         assert peaks[1] <= 4 * classify.KNN_WORK_BYTES + 8 * n_f * n_b
@@ -420,9 +421,9 @@ class TestMemoryBounds:
 
 
 def knn_labels(train_X, train_y, k, X):
-    """KNN labels of the rows X on every column: knn_votes with one all-ones mask."""
-    train_X = np.asarray(train_X, dtype=float)
-    return knn_votes(X, train_X, train_y, k, np.ones((1, train_X.shape[1]), dtype=bool))[0]
+    """KNN labels of the rows X on every column: KnnBlocks.votes with one all-ones mask."""
+    blocks = KnnBlocks(X, train_X, train_y)
+    return blocks.votes(k, np.ones((1, blocks.B.shape[1]), dtype=bool))[0]
 
 
 class TestKnn:
@@ -439,16 +440,16 @@ class TestKnn:
     def test_distance_tie_keeps_lowest_index(self):
         train_X = np.array([[0.0], [2.0]])
         train_y = np.array([1, 0])
-        assert knn_labels(train_X, train_y, 1, np.array([1.0]))[0] == 1
+        assert knn_labels(train_X, train_y, 1, np.array([[1.0]]))[0] == 1
 
     def test_vote_tie_goes_to_class_zero(self):
         train_X = np.array([[0.0], [2.0]])
         train_y = np.array([1, 0])
-        assert knn_labels(train_X, train_y, 2, np.array([1.0]))[0] == 0
+        assert knn_labels(train_X, train_y, 2, np.array([[1.0]]))[0] == 0
 
     def test_k_larger_than_training_set(self):
         with pytest.raises(ValueError, match="exceeds"):
-            knn_labels(np.ones((3, 2)), np.ones(3, dtype=int), 4, np.ones(2))
+            knn_labels(np.ones((3, 2)), np.ones(3, dtype=int), 4, np.ones((1, 2)))
         with pytest.raises(ValueError, match="exceeds"):
             train_model(np.ones((3, 2)), np.ones(3, dtype=int), "knn", KnnConfig(k=4),
                         standardize=False)
@@ -457,15 +458,15 @@ class TestKnn:
         with pytest.raises(ValueError, match="non-empty"):
             train_model(np.empty((0, 2)), np.empty(0, dtype=int), "knn", KnnConfig(k=1))
 
-    def test_single_vector_and_batch_agree(self):
+    def test_one_row_batch_and_kernel_agree(self):
         rng = np.random.default_rng(22)
         train_X = rng.normal(size=(20, 4))
         train_y = rng.integers(0, 2, 20)
         q = rng.normal(size=4)
         model = train_model(train_X, train_y, "knn", KnnConfig(k=3), standardize=False)
-        single = predict(model, q)
-        batch = predict(model, q[None, :])
-        assert single == batch[0] == knn_labels(train_X, train_y, 3, q[None, :])[0]
+        assert predict(model, q[None, :])[0] == knn_labels(train_X, train_y, 3, q[None, :])[0]
+        with pytest.raises(ValueError, match=r"got shape \(4,\)"):
+            predict(model, q)
 
     def test_tie_heavy_integer_data_matches_oracle(self):
         # a 3 x 3 grid of points: exact distance ties at the k-th place abound
@@ -489,7 +490,7 @@ class TestKnn:
         queries = rng.integers(0, 3, (10, 6)).astype(float)
         masks = rng.random((3, 6)) < 0.5
         masks[:, 0] = True
-        got = knn_votes(queries, train_X, train_y, 7, masks)
+        got = KnnBlocks(queries, train_X, train_y).votes(7, masks)
         assert got.shape == (3, 10)
         for mask, row in zip(masks, got):
             want = [knn_oracle(train_X[:, mask], train_y, 7, q) for q in queries[:, mask]]
@@ -540,7 +541,7 @@ class TestKnn:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(classify, "KNN_WORK_BYTES", work_bytes)
             mp.setattr(classify, "_knn_votes_direct", counted)
-            got = knn_votes(Q, B, y, k, masks)
+            got = KnnBlocks(Q, B, y).votes(k, masks)
         self._assert_labels(got, Q, B, y, k, masks, work_bytes)
         if kind == "continuous" or k == n_b:
             assert calls == []
@@ -564,7 +565,7 @@ class TestKnn:
         y = np.zeros(20, dtype=np.int64)
         y[np.random.default_rng(n_ones).permutation(20)[:n_ones]] = 1
         masks = np.array([[True, True, True], [True, False, True], [False, True, False]])
-        got = knn_votes(Q, B, y, 7, masks)
+        got = KnnBlocks(Q, B, y).votes(7, masks)
         self._assert_labels(got, Q, B, y, 7, masks)
         if n_ones in (0, 20):
             assert (got == n_ones // 20).all()
@@ -582,7 +583,7 @@ class TestKnn:
         y = np.zeros(20, dtype=np.int64)
         y[np.random.default_rng(n_ones).permutation(20)[:n_ones]] = 1
         masks = np.array([[True, True, True], [True, False, True], [False, True, False]])
-        got = knn_votes(Q, B, y, k, masks)
+        got = KnnBlocks(Q, B, y).votes(k, masks)
         self._assert_labels(got, Q, B, y, k, masks)
         h = k // 2 + 1
         if n_ones < h:
@@ -603,7 +604,7 @@ class TestKnn:
         y = np.repeat([0, 1], n_q)
         masks = np.array([[True, True, True], [True, False, True]])
         for k in (1, 3):
-            got = knn_votes(Q, B, y, k, masks)
+            got = KnnBlocks(Q, B, y).votes(k, masks)
             if k == 1:
                 assert (got == 0).all()
             self._assert_labels(got, Q, B, y, k, masks)
@@ -615,7 +616,7 @@ class TestKnn:
         for masks in ([[False, False, False], [True, False, True]], [[False, False, False]]):
             masks = np.array(masks)
             for k, label in ((3, 0), (5, 1)):
-                got = knn_votes(Q, B, y, k, masks)
+                got = KnnBlocks(Q, B, y).votes(k, masks)
                 assert (got[0] == label).all()
                 self._assert_labels(got, Q, B, y, k, masks)
 
@@ -644,7 +645,7 @@ class TestKnn:
 
         monkeypatch.setattr(classify, "_knn_votes_direct", counted)
         masks = np.array([[True, True], [True, False]])
-        got = knn_votes(Q, B, y, 5, masks)
+        got = KnnBlocks(Q, B, y).votes(5, masks)
         assert calls and sum(calls) <= len(Q)
         assert got.tolist() == direct(Q, B, y, 5, masks).tolist()
 
@@ -652,6 +653,36 @@ class TestKnn:
         X, y = blobs(seed=6)
         model = train_model(X, y, "knn", KnnConfig(k=1))
         assert accuracy(predict(model, X), y) == 1.0
+
+    def test_mask_wider_than_the_features_rejected(self):
+        # unchecked, the kernel's clipped np.take would read column 8 of 6 as column 5
+        B, Q = self._case("continuous", 31, 20, 6, 4)
+        y = np.arange(20) % 2
+        wide = np.zeros((1, 9), dtype=bool)
+        wide[0, 8] = True
+        for masks in (wide, wide[0], np.ones((2, 5), dtype=bool)):
+            with pytest.raises(ValueError, match=r"masks must have shape \(P, 6\)"):
+                KnnBlocks(Q, B, y).votes(3, masks)
+
+    def test_query_and_training_widths_must_match(self):
+        B, Q = self._case("continuous", 32, 20, 6, 4)
+        y = np.arange(20) % 2
+        for Qw, Bw in ((Q[:, :4], B), (Q[0], B), (Q, B[0])):
+            with pytest.raises(ValueError, match="do not match"):
+                KnnBlocks(Qw, Bw, y)
+
+    def test_one_label_per_training_row(self):
+        B, Q = self._case("continuous", 33, 20, 6, 4)
+        for y in (np.zeros(19, dtype=np.int64), np.zeros((20, 1), dtype=np.int64)):
+            with pytest.raises(ValueError, match=r"training rows \(20, 6\) and labels"):
+                KnnBlocks(Q, B, y)
+
+    def test_empty_batch_gives_no_rows(self):
+        B, Q = self._case("continuous", 34, 20, 6, 4)
+        blocks = KnnBlocks(Q, B, np.arange(20) % 2)
+        for masks in (np.zeros((0, 6), dtype=bool), []):
+            got = blocks.votes(3, masks)
+            assert got.shape == (0, 4) and got.dtype == np.int64
 
 
 class TestAnnStructure:
@@ -688,27 +719,28 @@ class TestAnnStructure:
             "W2": np.array([[1.0], [-1.0]]),
             "th2": np.array([0.5, -0.5]),
         }
-        x = np.array([1.0])
+        x = np.array([[1.0]])
         a1 = 1.0 / (1.0 + math.exp(-(2.0 * 1.0 - 1.0)))
         s = [1.0 / (1.0 + math.exp(-(a1 - 0.5))),
              1.0 / (1.0 + math.exp(-(-a1 + 0.5)))]
         e = [math.exp(v - max(s)) for v in s]
         want = [v / sum(e) for v in e]
-        got = ann_forward(params, x)
-        assert np.allclose(got, want, atol=1e-12)
-        assert got.shape == (2,)
+        got = _ann_layers(params, x)[2]
+        assert np.allclose(got, [want], atol=1e-12)
+        assert got.shape == (1, 2)
 
     def test_forward_rows_sum_to_one(self):
         params = ann_init(6, 2, seed=1)
         X = np.random.default_rng(2).normal(size=(9, 6))
-        P = ann_forward(params, X)
+        P = _ann_layers(params, X)[2]
         assert np.allclose(P.sum(axis=1), 1.0)
         assert np.all(P > 0.0)
 
     def test_forward_feature_mismatch(self):
-        params = ann_init(6, 2, seed=1)
-        with pytest.raises(ValueError):
-            ann_forward(params, np.ones(5))
+        model = TrainedModel(kind="ann", params=ann_init(6, 2, seed=1), scaler=None,
+                             mask=np.ones(6, dtype=bool))
+        with pytest.raises(ValueError, match="feature count"):
+            predict(model, np.ones((1, 5)))
 
 
 class TestAnnGradients:
@@ -862,12 +894,24 @@ class TestCommonSurface:
         svm = train_model(X, y, "svm", SvmConfig(C=1.0, gamma=0.1), mask=mask)
         ann = train_model(X, y, "ann", AnnConfig(epochs=5), mask=mask)
         want_svm = svm_decision(svm, Q).tobytes()
-        want_ann = ann_forward(ann.params, classify._prepare(ann, Q)).tobytes()
+        want_ann = _ann_layers(ann.params, classify._prepare(ann, Q))[2].tobytes()
         wide = np.zeros((300, 68))
         wide[:, ::2] = Q
         for rows in (np.asfortranarray(Q), wide[:, ::2], Q.T.copy().T):
             assert svm_decision(svm, rows).tobytes() == want_svm
-            assert ann_forward(ann.params, classify._prepare(ann, rows)).tobytes() == want_ann
+            assert _ann_layers(ann.params, classify._prepare(ann, rows))[2].tobytes() == want_ann
+
+    @pytest.mark.parametrize("kind, cfg", [("svm", SvmConfig()), ("knn", KnnConfig(k=3)),
+                                           ("ann", AnnConfig(epochs=2))])
+    def test_one_dimensional_rows_rejected(self, kind, cfg):
+        X, y = blobs(seed=2)
+        model = train_model(X, y, kind, cfg)
+        for bad in (X[0], np.float64(1.0)):
+            with pytest.raises(ValueError, match=r"must be 2-D .*, got shape \("):
+                predict(model, bad)
+        if kind == "svm":
+            with pytest.raises(ValueError, match=r"got shape \(4,\)"):
+                svm_decision(model, X[0])
 
     def test_unknown_kind(self):
         X, y = blobs(seed=1)

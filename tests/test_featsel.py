@@ -228,6 +228,12 @@ class TestBatchedFitness:
                 for mask in masks]
         assert fitness_batch(masks, ctx) == want
 
+    def test_empty_batch_scores_nothing(self):
+        X, y = synthetic_dataset(n=80, seed=4)
+        ctx = make_fitness_context(X, y, seed=1)
+        for config in (KnnConfig(), SvmConfig(), AnnConfig(epochs=1)):
+            assert holdout_accuracies(ctx, config, []) == []
+
     @pytest.mark.parametrize("classifier, config", [("svm", SvmConfig()), ("ann", AnnConfig())])
     def test_config_type_names_the_classifier(self, classifier, config):
         X, y = synthetic_dataset(n=80, seed=4)
