@@ -137,6 +137,8 @@ class ExperimentSpec:
             raise ValueError("load_var must be in [0, 1)")
         if not 0 < self.val_fraction < 1:
             raise ValueError("val_fraction must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.threads < 1:
             raise ValueError(f"threads must be a positive integer, got {self.threads}")
         for fs in self.fs_methods:

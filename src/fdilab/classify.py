@@ -3,7 +3,8 @@ layer neural net, behind a common train/predict interface.
 
 All three work on standardized features by default; standardization stats are
 fitted on training data only and stored on the model together with the
-feature mask that was applied.
+feature mask that was applied. Scaling is float64 for every kind; the ANN then
+trains and runs in ANN_DTYPE (float32), which halves its matrix traffic.
 """
 
 from __future__ import annotations
@@ -119,6 +120,8 @@ class AnnConfig:
             raise ValueError("alpha must be positive and finite")
         if self.epochs < 1 or self.batch < 1:
             raise ValueError("epochs and batch must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 CONFIGS = {"svm": SvmConfig, "knn": KnnConfig, "ann": AnnConfig}
@@ -368,6 +371,9 @@ def _knn_votes_direct(Q, B, train_y, k: int, masks) -> np.ndarray:
 
 # ----------------------------------------------------------------------- ANN
 
+ANN_DTYPE = np.float32  # of the ANN's weights, and of the scaled rows it reads
+
+
 def ann_hidden_size(L: int, N: int = 2) -> int:
     """Hidden node count M = ceil((N + L) / 2)."""
     if L < 1 or N < 2:
@@ -404,6 +410,16 @@ def ann_init(L: int, N: int, seed: int) -> dict:
     }
 
 
+def _ann_rows(X: np.ndarray) -> np.ndarray:
+    """X cast to ANN_DTYPE; astype keeps its memory order. A finite value beyond
+    ANN_DTYPE's range would become inf, so it is refused."""
+    with np.errstate(over="ignore"):
+        Xa = X.astype(ANN_DTYPE)
+    if (np.isfinite(Xa) != np.isfinite(X)).any():
+        raise ValueError(f"ann features must be within +-{np.finfo(ANN_DTYPE).max:.3g}")
+    return Xa
+
+
 def _ann_layers(params: dict, X: np.ndarray):
     """Hidden activations A1, output sigmoids S and softmax scores P of rows X."""
     Z1 = X @ params["W1"].T
@@ -431,11 +447,16 @@ def _ann_backward(W2: np.ndarray, Y: np.ndarray, A1, S, P):
 def _ann_fit(X: np.ndarray, y: np.ndarray, cfg: AnnConfig):
     """Minibatch gradient descent in place: W -= alpha dZ'A, theta += alpha sum(dZ)
     (= theta - alpha * grad bit for bit). A non-finite weight stays non-finite,
-    so one check per epoch reports every divergence."""
+    so one check per epoch reports every divergence.
+
+    The rows, the one-hot labels and the weights are cast to ANN_DTYPE, so every
+    step runs in float32. The weights are drawn in float64 and then rounded, so
+    the init and row-order streams are those of a float64 fit."""
     n, L = X.shape
-    params = ann_init(L, 2, cfg.seed)
+    X = _ann_rows(X)
+    params = {key: w.astype(ANN_DTYPE) for key, w in ann_init(L, 2, cfg.seed).items()}
     W1, th1, W2, th2 = params["W1"], params["th1"], params["W2"], params["th2"]
-    Y = np.zeros((n, 2))
+    Y = np.zeros((n, 2), dtype=ANN_DTYPE)
     Y[np.arange(n), y] = 1.0
     rng = np.random.default_rng(cfg.seed + 1)
     for epoch in range(cfg.epochs):
@@ -524,6 +545,6 @@ def predict(model: TrainedModel, X) -> np.ndarray:
         return KnnBlocks(_prepare(model, X), p["X"], p["y"]).votes(
             p["k"], np.ones((1, p["X"].shape[1]), dtype=bool))[0]
     if model.kind == "ann":
-        P = _ann_layers(model.params, _prepare(model, X))[2]
+        P = _ann_layers(model.params, _ann_rows(_prepare(model, X)))[2]
         return (P[:, 1] > P[:, 0]).astype(np.int64)
     raise ValueError(f"unknown classifier kind {model.kind!r}")

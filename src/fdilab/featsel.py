@@ -144,11 +144,12 @@ def levy_step(lam: float, rng: np.random.Generator, size=None):
     """Heavy-tailed random step(s) via Mantegna's algorithm.
 
     The density of |step| falls off like s^-lam, implemented with stability
-    index beta = lam - 1. Symmetric about zero. Note lam -> 3 degenerates
-    (the scale factor vanishes); the interesting range is lam around 1.5.
+    index beta = lam - 1. Symmetric about zero. lam = 3 is refused: the scale
+    factor's sin(pi beta / 2) is then about 1e-16, so no step moves; the
+    interesting range is lam around 1.5.
     """
-    if not 1.0 < lam <= 3.0:
-        raise ValueError("lambda must satisfy 1 < lambda <= 3")
+    if not 1.0 < lam < 3.0:
+        raise ValueError("lambda must satisfy 1 < lambda < 3")
     beta = lam - 1.0
     num = math.gamma(1.0 + beta) * math.sin(math.pi * beta / 2.0)
     den = math.gamma((1.0 + beta) / 2.0) * beta * 2.0 ** ((beta - 1.0) / 2.0)
@@ -192,8 +193,8 @@ class BcsParams:
             raise ValueError("alpha must be positive and finite")
         if not 0.0 <= self.pa <= 1.0:
             raise ValueError("pa must be in [0, 1]")
-        if not 1.0 < self.lam <= 3.0:
-            raise ValueError("lambda must satisfy 1 < lambda <= 3")
+        if not 1.0 < self.lam < 3.0:
+            raise ValueError("lambda must satisfy 1 < lambda < 3")
         if self.population < 2 or self.iterations < 0:
             raise ValueError("population must be >= 2 and iterations >= 0")
 

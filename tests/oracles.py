@@ -485,7 +485,9 @@ def ann_fit_oracle(X, y, cfg):
     """_ann_fit one minibatch at a time: gather the batch rows, compute the
     loss and a fresh gradient dict, stop on a non-finite loss, and step every
     parameter by -alpha * grad. Same initial weights, row orders and
-    arithmetic order as the package, so the weights agree bit for bit."""
+    arithmetic order as the package, so the weights agree bit for bit. It runs
+    in the dtype of X: the weights and one-hot labels are cast to it, so float32
+    rows check the package's float32 fit."""
     from fdilab.classify import ann_init
 
     def layers(params, Xb):
@@ -512,8 +514,8 @@ def ann_fit_oracle(X, y, cfg):
 
     n, L = X.shape
     N = 2
-    params = ann_init(L, N, cfg.seed)
-    Y = np.zeros((n, N))
+    params = {key: w.astype(X.dtype) for key, w in ann_init(L, N, cfg.seed).items()}
+    Y = np.zeros((n, N), dtype=X.dtype)
     Y[np.arange(n), y] = 1.0
     rng = np.random.default_rng(cfg.seed + 1)
     for epoch in range(cfg.epochs):

@@ -736,6 +736,29 @@ class TestAnnStructure:
         assert np.allclose(P.sum(axis=1), 1.0)
         assert np.all(P > 0.0)
 
+    def test_float32_weights_and_rows_stay_float32(self):
+        # a float64 operand anywhere in the chain would upcast every later array
+        params = {key: w.astype(np.float32) for key, w in ann_init(6, 2, seed=1).items()}
+        X = np.random.default_rng(2).normal(size=(9, 6)).astype(np.float32)
+        assert [a.dtype for a in _ann_layers(params, X)] == [np.float32] * 3
+
+    def test_trained_weights_are_float32(self):
+        X, y = blobs(seed=3)
+        model = train_model(X, y, "ann", AnnConfig(epochs=2))
+        assert {key: w.dtype for key, w in model.params.items()} == dict.fromkeys(
+            ("W1", "th1", "W2", "th2"), np.float32)
+
+    def test_features_beyond_float32_range_rejected(self):
+        # the cast would make them inf, and an inf - inf in a product is nan
+        X, y = blobs(seed=4)
+        big = X.copy()
+        big[0, 0] = 1e39
+        model = train_model(X, y, "ann", AnnConfig(epochs=2), standardize=False)
+        with pytest.raises(ValueError, match=r"ann features must be within \+-3.4e\+38"):
+            predict(model, big)
+        with pytest.raises(ValueError, match="ann features must be within"):
+            train_model(big, y, "ann", AnnConfig(epochs=2), standardize=False)
+
     def test_forward_feature_mismatch(self):
         model = TrainedModel(kind="ann", params=ann_init(6, 2, seed=1), scaler=None,
                              mask=np.ones(6, dtype=bool))
@@ -804,8 +827,9 @@ class TestAnnFitMatchesOracle:
     @example(n=37, L=5, batch=8, alpha=0.7, seed=3, epochs=3)
     @settings(max_examples=60, deadline=None)
     def test_weights_bit_identical(self, n, L, batch, alpha, seed, epochs):
+        # the fit runs in float32, so the oracle is given float32 rows
         rng = np.random.default_rng(seed)
-        X = rng.normal(0.0, 1.0, (n, L))
+        X = rng.normal(0.0, 1.0, (n, L)).astype(np.float32)
         y = rng.integers(0, 2, n)
         cfg = AnnConfig(alpha=alpha, epochs=epochs, batch=batch, seed=seed)
         got, converged = classify._ann_fit(X, y, cfg)
@@ -828,7 +852,7 @@ class TestAnnAtTheShippedConfig:
     def test_default_fit_equals_oracle_on_14_bus_rows(self):
         ds = generate_dataset(load_builtin("ieee14"), 200, 0.5, NoiseModel(0.01), 0.1, None,
                               seed=0)
-        X = standardize_apply(standardize_fit(ds.X), ds.X)
+        X = standardize_apply(standardize_fit(ds.X), ds.X).astype(np.float32)
         got, converged = classify._ann_fit(X, ds.y, AnnConfig())
         want = ann_fit_oracle(X, ds.y, AnnConfig())
         assert converged and got.keys() == want.keys()
@@ -884,8 +908,9 @@ class TestCommonSurface:
                 train_model(X, bad, kind, cfg)
 
     def test_query_layouts_round_alike(self):
-        # X[:, mask] is in Fortran order whatever the query's layout, so every
-        # query takes one BLAS path and gives the same bits
+        # X[:, mask] is in Fortran order whatever the query's layout, and the
+        # ANN's astype keeps that order, so every query takes one BLAS path and
+        # gives the same bits; float32 queries give the same labels
         rng = np.random.default_rng(34)
         X = rng.normal(size=(300, 34))
         y = (X[:, 0] + 0.5 * rng.normal(size=300) > 0).astype(np.int64)
@@ -893,13 +918,22 @@ class TestCommonSurface:
         Q = rng.normal(size=(300, 34))
         svm = train_model(X, y, "svm", SvmConfig(C=1.0, gamma=0.1), mask=mask)
         ann = train_model(X, y, "ann", AnnConfig(epochs=5), mask=mask)
+
+        def ann_scores(rows):  # predict's ANN branch
+            return _ann_layers(ann.params, classify._ann_rows(classify._prepare(ann, rows)))[2]
+
         want_svm = svm_decision(svm, Q).tobytes()
-        want_ann = _ann_layers(ann.params, classify._prepare(ann, Q))[2].tobytes()
+        want_ann = ann_scores(Q).tobytes()
+        want_labels = [predict(model, Q) for model in (svm, ann)]
         wide = np.zeros((300, 68))
         wide[:, ::2] = Q
-        for rows in (np.asfortranarray(Q), wide[:, ::2], Q.T.copy().T):
+        layouts = (np.asfortranarray(Q), wide[:, ::2], Q.T.copy().T)
+        for rows in layouts:
             assert svm_decision(svm, rows).tobytes() == want_svm
-            assert _ann_layers(ann.params, classify._prepare(ann, rows))[2].tobytes() == want_ann
+            assert ann_scores(rows).tobytes() == want_ann
+        for rows in layouts + (Q.astype(np.float32),):
+            for model, want in zip((svm, ann), want_labels):
+                assert np.array_equal(predict(model, rows), want)
 
     @pytest.mark.parametrize("kind, cfg", [("svm", SvmConfig()), ("knn", KnnConfig(k=3)),
                                            ("ann", AnnConfig(epochs=2))])

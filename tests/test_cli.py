@@ -716,6 +716,9 @@ class TestOutOfRange:
         (BENCH + ["--noise-sigma", "inf"], "", "--noise-sigma: not a finite number: 'inf'"),
         (["gridsearch", "--val-fraction", "nan"], "", "--val-fraction: not a finite number"),
         (BENCH, "knn_k = 3\nknn_k = 5\n", "run.cfg line 2: repeated key 'knn_k'"),
+        # at lambda = 3 Mantegna's scale is about 1e-16, so no nest would move
+        (["select", "--fs", "bcs"], "bcs_lambda = 3\n",
+         "bcs_lambda = 3.0: lambda must satisfy 1 < lambda < 3"),
         # generate builds the spec too, without check_spec's dataset sizes
         (["generate", "--case", "ieee14", "--n", "20", "--max-targets", "-1"], "",
          "max_targets must be non-negative"),
@@ -743,6 +746,7 @@ class TestOutOfRange:
             "repeated classifier", "one-class svm", "one-class ann", "all-attacked svm",
             "knn_k named", "ga_population named", "svm section named", "svm_gamma inf",
             "bpso_w nan", "noise_sigma inf", "gridsearch val_fraction nan", "repeated key",
+            "bcs_lambda 3",
             "generate max_targets", "generate threads", "generate knn_k",
             "generate noise_sigma inf", "no system", "no fs", "no classifier",
             "gridsearch no classifier", "select no fs", "noise_sigma underscore",
@@ -763,6 +767,18 @@ class TestOutOfRange:
         assert run(argv + ["--out-dir", str(out_dir)]) == 1
         assert name in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("argv, config, name", [
+        (BENCH + ["--seed", "-1"], "", "seed must be non-negative, got -1"),
+        (["select", "--fs", "bcs", "--seed", "-1"], "", "seed must be non-negative, got -1"),
+        (["gridsearch", "--seed", "-1"], "", "seed must be non-negative, got -1"),
+        (["generate", "--case", "ieee14", "--n", "20", "--seed", "-1"], "",
+         "seed must be non-negative, got -1"),
+        (BENCH, "ann_seed = -1\n", "ann_seed = -1: seed must be non-negative, got -1"),
+    ], ids=["benchmark", "select", "gridsearch", "generate", "ann_seed"])
+    def test_negative_seed_is_config_error_before_any_work(self, tmp_path, capsys, argv,
+                                                           config, name):
+        self.test_setting_is_config_error_before_any_work(tmp_path, capsys, argv, config, name)
 
 
 class TestParser:

@@ -49,7 +49,7 @@ def ctx():
 class TestLevy:
     def test_lambda_validation(self):
         rng = np.random.default_rng(0)
-        for bad in (1.0, 0.5, 3.5):
+        for bad in (1.0, 0.5, 3.0, 3.5):
             with pytest.raises(ValueError):
                 levy_step(bad, rng)
 
@@ -124,6 +124,8 @@ class TestParams:
             BcsParams(pa=1.5)
         with pytest.raises(ValueError):
             BcsParams(lam=1.0)
+        with pytest.raises(ValueError, match="1 < lambda < 3"):
+            BcsParams(lam=3.0)
         with pytest.raises(ValueError):
             BcsParams(population=1)
 
